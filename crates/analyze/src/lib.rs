@@ -1,12 +1,12 @@
 //! # hetsort-analyze — static plan verifier + happens-before race detector
 //!
-//! The executors in `hetsort-core` interpret a static [`Plan`] DAG over
-//! streams, events, and staging buffers. A schedule bug — a missing
-//! wait, an aliased staging buffer, an over-budget allocation — would
-//! surface as silent data corruption or a hang at run time. This crate
-//! rejects such schedules *before* execution:
+//! The engines in `hetsort-core` interpret a static op dag
+//! ([`PlanDag`]) over streams, events, and staging buffers. A schedule
+//! bug — a missing wait, an aliased staging buffer, an over-budget
+//! allocation — would surface as silent data corruption or a hang at
+//! run time. This crate rejects such schedules *before* execution:
 //!
-//! 1. **Static linter** ([`static_lint`]): plan-level checks — peak
+//! 1. **Static linter** ([`static_lint`]): dag-level checks — peak
 //!    device residency per GPU vs capacity, staging chunks vs the
 //!    pinned buffer, merge-tree well-formedness, the PIPEMERGE
 //!    pair-count heuristic (`⌊(n_b−1)/2^n_GPU⌋`, §III-D3).
@@ -28,13 +28,13 @@
 //!    interleaving-only invariants: reachable deadlock, budget
 //!    safety, and replan cover.
 //!
-//! Traces come from two producers: [`lower_plan`](hetsort_core::optrace)
-//! derives the static trace from a plan; the executors (with
+//! Traces come from two producers: [`lower_dag`](hetsort_core::optrace)
+//! derives the static trace from a dag; the engines (with
 //! `record_trace` set) and `hetsort-vgpu`'s `VirtualCuda` record the
 //! trace of what actually ran, recovery detours included.
 //!
 //! The analyzer's recall is mutation-tested: [`Mutant`] seeds the
-//! trace/plan defect classes, [`ExploreMutant`] the model-level ones,
+//! trace/dag defect classes, [`ExploreMutant`] the model-level ones,
 //! and the suites in `tests/` fail if any goes unreported with the
 //! right [`FindingClass`].
 
@@ -62,25 +62,17 @@ pub use replan_model::{ReplanDefect, ReplanModel};
 pub use residency::Residency;
 pub use trace_model::{explore_plan, explore_plan_trace, TraceModel};
 
-use hetsort_core::optrace::{lower_dag, lower_plan};
-use hetsort_core::plan::Plan;
+use hetsort_core::optrace::lower_dag;
 use hetsort_core::PlanDag;
 use hetsort_sim::OpTrace;
 
-/// Analyze a plan: static lint plus happens-before over its lowered
-/// static trace.
-pub fn analyze_plan(plan: &Plan) -> AnalysisReport {
-    analyze_plan_with_trace(plan, &lower_plan(plan))
-}
-
 /// Analyze an op dag: structural validation (every named
 /// [`PlanDag::validate`] rule becomes a [`FindingClass::Malformed`]
-/// finding instead of an error), then the full plan analysis — static
-/// lint, residency re-check, and happens-before over the trace lowered
-/// from the *dag's* edges. A dag whose dependency edges were mutated
-/// loses exactly those sync edges in the lowered trace, so the HB
-/// checker reports the race even when the structural validator is
-/// blind to it.
+/// finding instead of an error), then static lint, residency re-check,
+/// and happens-before over the trace lowered from the *dag's* edges. A
+/// dag whose dependency edges were mutated loses exactly those sync
+/// edges in the lowered trace, so the HB checker reports the race even
+/// when the structural validator is blind to it.
 pub fn analyze_dag(dag: &PlanDag) -> AnalysisReport {
     let mut findings = Vec::new();
     if let Err(e) = dag.validate() {
@@ -91,17 +83,18 @@ pub fn analyze_dag(dag: &PlanDag) -> AnalysisReport {
             ops: Vec::new(),
         });
     }
-    let mut report = analyze_plan_with_trace(&dag.plan, &lower_dag(dag));
+    let mut report = analyze_plan_with_trace(dag, &lower_dag(dag));
     findings.append(&mut report.findings);
     AnalysisReport { findings }
 }
 
-/// Analyze a plan against a specific trace — the lowered static trace,
-/// a mutated one, or the executed trace an executor recorded (which
-/// re-checks recovery detours the static schedule never had).
-pub fn analyze_plan_with_trace(plan: &Plan, trace: &OpTrace) -> AnalysisReport {
-    let mut findings = static_lint::lint_plan(plan);
-    let caps: Vec<f64> = plan
+/// Analyze a dag's plan against a specific trace — the lowered static
+/// trace, a mutated one, or the executed trace an engine recorded
+/// (which re-checks recovery detours the static schedule never had).
+pub fn analyze_plan_with_trace(dag: &PlanDag, trace: &OpTrace) -> AnalysisReport {
+    let mut findings = static_lint::lint_plan(dag);
+    let caps: Vec<f64> = dag
+        .plan
         .config
         .platform
         .gpus
@@ -123,7 +116,7 @@ pub fn analyze_trace(trace: &OpTrace) -> AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsort_core::{Approach, HetSortConfig};
+    use hetsort_core::{build_dag, Approach, HetSortConfig};
     use hetsort_vgpu::platform1;
 
     #[test]
@@ -131,8 +124,7 @@ mod tests {
         let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
             .with_batch_elems(1000)
             .with_pinned_elems(250);
-        let plan = Plan::build(cfg, 6000).unwrap();
-        let report = analyze_plan(&plan);
+        let report = analyze_dag(&build_dag(cfg, 6000).unwrap());
         assert!(report.is_clean(), "{report}");
     }
 }

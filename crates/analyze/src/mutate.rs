@@ -1,6 +1,6 @@
 //! Seeded schedule defects for mutation-testing the analyzer.
 //!
-//! Each [`Mutant`] breaks a correct plan/trace pair in one specific way
+//! Each [`Mutant`] breaks a correct dag/trace pair in one specific way
 //! and declares the [`FindingClass`] the analyzer must report for it.
 //! The mutation suite (`tests/mutation.rs`) applies every mutant to
 //! every shipped configuration and fails if any goes undetected — the
@@ -8,11 +8,12 @@
 //!
 //! Sync mutants edit the lowered trace (dropping or misplacing the
 //! event edges an executor could plausibly forget); structural mutants
-//! edit the plan in place (the hand-mutated-plan shapes
-//! `Plan::check_invariants` and the static linter exist to catch).
+//! edit the dag's plan in place after lowering, so its nodes stay as
+//! planned (the hand-mutated shapes `Plan::check_invariants` and the
+//! static linter exist to catch).
 
 use hetsort_core::config::PairStrategy;
-use hetsort_core::plan::{Plan, StepKind};
+use hetsort_core::PlanDag;
 use hetsort_sim::{Buffer, OpTrace, TraceKind};
 use hetsort_vgpu::{platform1, platform2};
 
@@ -107,9 +108,10 @@ impl Mutant {
         }
     }
 
-    /// Apply the defect to a plan/trace pair. Returns `false` when the
-    /// plan's shape does not support it (e.g. no pair merges to break).
-    pub fn apply(&self, plan: &mut Plan, trace: &mut OpTrace) -> bool {
+    /// Apply the defect to a dag/trace pair. Returns `false` when the
+    /// dag's shape does not support it (e.g. no pair merges to break).
+    pub fn apply(&self, dag: &mut PlanDag, trace: &mut OpTrace) -> bool {
+        let plan = &mut dag.plan;
         match self {
             Mutant::DropWait => {
                 let Some(i) = trace
@@ -230,25 +232,13 @@ impl Mutant {
                 true
             }
             Mutant::DuplicateMergeInput => {
-                for s in plan.steps.iter_mut() {
-                    if let StepKind::MultiwayMerge { inputs } = &mut s.kind {
-                        let Some(&first) = inputs.first() else {
-                            return false;
-                        };
-                        inputs.push(first);
-                        return true;
-                    }
-                }
-                false
+                let Some(&first) = plan.final_inputs.first() else {
+                    return false;
+                };
+                plan.final_inputs.push(first);
+                true
             }
-            Mutant::DropMergeInput => {
-                for s in plan.steps.iter_mut() {
-                    if let StepKind::MultiwayMerge { inputs } = &mut s.kind {
-                        return inputs.pop().is_some();
-                    }
-                }
-                false
-            }
+            Mutant::DropMergeInput => plan.final_inputs.pop().is_some(),
             Mutant::BreakPairCount => {
                 // The pair-count heuristic only governs the paper
                 // strategy; the rejected strategies schedule freely.

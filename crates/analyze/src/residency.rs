@@ -7,9 +7,9 @@
 //!   first `HtoD` until its last `DtoH` — with round-robin batch
 //!   rotation the buffers never free between batches, so the peak per
 //!   GPU is simply `streams_on_gpu × dev_bytes`;
-//! * **pinned host**: every `PinnedAlloc` step's staging buffer lives
-//!   until the run ends (piped approaches allocate an inbound and an
-//!   outbound buffer per stream).
+//! * **pinned host**: every staging buffer of [`Plan::pinned_allocs`]
+//!   lives until the run ends (piped approaches allocate an inbound and
+//!   an outbound buffer per stream).
 //!
 //! The static linter uses this to flag statically-guaranteed OOM, and
 //! the `hetsort-serve` admission controller sums it across concurrent
@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hetsort_core::plan::{Plan, StepKind};
+use hetsort_core::plan::Plan;
 
 /// The peak memory footprint a plan keeps resident for its whole run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -27,7 +27,8 @@ pub struct Residency {
     /// devices accounts against the original platform's device numbers,
     /// so pool bookkeeping stays consistent across plan generations.
     pub device_bytes: BTreeMap<usize, f64>,
-    /// Total pinned host staging bytes (sum over `PinnedAlloc` steps).
+    /// Total pinned host staging bytes (sum over
+    /// [`Plan::pinned_allocs`]).
     pub pinned_bytes: f64,
 }
 
@@ -47,14 +48,7 @@ impl Residency {
             .into_iter()
             .map(|(gpu, streams)| (gpu, dev_bytes * streams.len() as f64))
             .collect();
-        let pinned_bytes = plan
-            .steps
-            .iter()
-            .map(|s| match s.kind {
-                StepKind::PinnedAlloc { bytes, .. } => bytes,
-                _ => 0.0,
-            })
-            .sum();
+        let pinned_bytes = plan.pinned_allocs().map(|(_, bytes, _)| bytes).sum();
         Residency {
             device_bytes,
             pinned_bytes,

@@ -1,9 +1,11 @@
-//! The static plan linter: everything checkable from a [`Plan`] alone,
-//! before a single byte moves.
+//! The static linter: everything checkable from a lowered [`PlanDag`]
+//! alone, before a single byte moves. (Dependency order and chunk
+//! tiling are [`PlanDag::validate`]'s `cycle` and `chunk-cover` rules.)
 //!
-//! * structural invariants (delegates to [`Plan::check_invariants`]):
-//!   backward deps, chunk tiling, merge-tree well-formedness — every
-//!   batch produced once and consumed exactly once;
+//! * plan invariants (delegates to
+//!   [`Plan::check_invariants`](hetsort_core::plan::Plan::check_invariants)):
+//!   merge-tree well-formedness — every batch produced once and
+//!   consumed exactly once — and the device map;
 //! * the PIPEMERGE pair-count heuristic: `⌊(n_b−1)/2^n_GPU⌋` pipelined
 //!   pair merges (§III-D3) when the paper strategy is selected;
 //! * peak device residency per GPU against its capacity — each stream
@@ -15,15 +17,16 @@
 use std::collections::BTreeMap;
 
 use hetsort_core::config::{Approach, PairStrategy};
-use hetsort_core::optrace::step_label;
-use hetsort_core::plan::{Plan, StepKind};
+use hetsort_core::optrace::dag_node_label;
+use hetsort_core::{DagOp, PlanDag};
 
 use crate::finding::{Finding, FindingClass};
 use crate::residency::Residency;
 
-/// Lint a plan; returns all findings (empty = clean).
-pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
+/// Lint a dag and its plan; returns all findings (empty = clean).
+pub fn lint_plan(dag: &PlanDag) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let plan = &dag.plan;
     let cfg = &plan.config;
 
     if let Err(e) = plan.check_invariants() {
@@ -90,18 +93,17 @@ pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
 
     // Staging chunks vs the pinned buffer, one finding per stream.
     let mut over: BTreeMap<usize, (usize, String, usize)> = BTreeMap::new();
-    for (si, step) in plan.steps.iter().enumerate() {
-        let len = match &step.kind {
-            StepKind::StageIn { len, .. }
-            | StepKind::HtoD { len, .. }
-            | StepKind::DtoH { len, .. }
-            | StepKind::StageOut { len, .. } => *len,
+    for (i, node) in dag.nodes.iter().enumerate() {
+        let len = match node.op {
+            DagOp::StagingCopy { len, .. } | DagOp::HtoD { len, .. } | DagOp::DtoH { len, .. } => {
+                len
+            }
             _ => continue,
         };
         if len > cfg.pinned_elems {
-            let stream = step.stream.unwrap_or(0);
+            let stream = node.stream.unwrap_or(0);
             over.entry(stream)
-                .or_insert_with(|| (0, step_label(plan, si), len))
+                .or_insert_with(|| (0, dag_node_label(dag, i), len))
                 .0 += 1;
         }
     }
@@ -124,14 +126,14 @@ pub fn lint_plan(plan: &Plan) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsort_core::{Approach, HetSortConfig, Plan};
+    use hetsort_core::{build_dag, Approach, HetSortConfig};
     use hetsort_vgpu::platform1;
 
-    fn plan(approach: Approach, n: usize) -> Plan {
+    fn plan(approach: Approach, n: usize) -> PlanDag {
         let cfg = HetSortConfig::paper_defaults(platform1(), approach)
             .with_batch_elems(1000)
             .with_pinned_elems(250);
-        Plan::build(cfg, n).unwrap()
+        build_dag(cfg, n).unwrap()
     }
 
     #[test]
@@ -149,7 +151,7 @@ mod tests {
     #[test]
     fn oversized_batch_is_flagged_oom() {
         let mut p = plan(Approach::PipeData, 6000);
-        p.config.batch_elems = usize::MAX / 1024;
+        p.plan.config.batch_elems = usize::MAX / 1024;
         let fs = lint_plan(&p);
         assert!(
             fs.iter().any(|f| f.code == "device-over-capacity"),
@@ -160,21 +162,17 @@ mod tests {
     #[test]
     fn undersized_staging_is_flagged_per_stream() {
         let mut p = plan(Approach::PipeData, 6000);
-        p.config.pinned_elems = 1;
+        p.plan.config.pinned_elems = 1;
         let fs = lint_plan(&p);
         let staging: Vec<_> = fs.iter().filter(|f| f.code == "staging-overflow").collect();
-        assert_eq!(staging.len(), p.total_streams);
+        assert_eq!(staging.len(), p.plan.total_streams);
         assert!(staging[0].message.contains("chunk op(s) exceed"));
     }
 
     #[test]
     fn broken_merge_coverage_is_malformed() {
         let mut p = plan(Approach::BLineMulti, 6000);
-        for s in p.steps.iter_mut() {
-            if let StepKind::MultiwayMerge { inputs } = &mut s.kind {
-                inputs.pop();
-            }
-        }
+        p.plan.final_inputs.pop();
         let fs = lint_plan(&p);
         assert!(fs.iter().any(|f| f.class == FindingClass::Malformed));
     }

@@ -17,7 +17,7 @@
 //! just the submission order a recorded trace happens to have.
 //!
 //! `DeviceSync` is modeled as an always-enabled host action whose
-//! footprint conflicts with everything. Lowered plan traces only use
+//! footprint conflicts with everything. Lowered dag traces only use
 //! it where every stream op is already event-ordered before it, so
 //! its linearization position is fixed; hand-built traces that lean
 //! on a mid-trace sync for ordering will (correctly) see the orders
@@ -25,8 +25,9 @@
 
 use std::collections::BTreeSet;
 
-use hetsort_core::optrace::lower_plan;
+use hetsort_core::optrace::lower_dag;
 use hetsort_core::plan::Plan;
+use hetsort_core::PlanDag;
 use hetsort_sim::{OpTrace, TraceKind};
 
 use crate::explore::{explore, ExploreConfig, ExploreReport, Footprint, Res, SchedModel};
@@ -174,11 +175,11 @@ impl SchedModel for TraceModel {
     }
 }
 
-/// Explore every interleaving of a plan's lowered static trace,
+/// Explore every interleaving of a dag's lowered static trace,
 /// checking happens-before (races, event discipline, capacity,
 /// buffer lifetimes) on each.
-pub fn explore_plan(plan: &Plan, cfg: &ExploreConfig) -> ExploreReport {
-    explore_plan_trace(plan, lower_plan(plan), cfg)
+pub fn explore_plan(dag: &PlanDag, cfg: &ExploreConfig) -> ExploreReport {
+    explore_plan_trace(&dag.plan, lower_dag(dag), cfg)
 }
 
 /// Explore a specific trace under a plan's capacity model (the
@@ -205,14 +206,14 @@ pub fn explore_plan_trace(plan: &Plan, trace: OpTrace, cfg: &ExploreConfig) -> E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsort_core::{Approach, HetSortConfig};
+    use hetsort_core::{build_dag, Approach, HetSortConfig};
     use hetsort_vgpu::platform1;
 
-    fn small_plan(approach: Approach, n: usize) -> Plan {
+    fn small_plan(approach: Approach, n: usize) -> PlanDag {
         let cfg = HetSortConfig::paper_defaults(platform1(), approach)
             .with_batch_elems(1000)
             .with_pinned_elems(500);
-        Plan::build(cfg, n).unwrap()
+        build_dag(cfg, n).unwrap()
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn kill_trace(m: DagMutant, class: &str) {
     let dag = base_dag();
     let base = lower_dag(&dag);
     assert!(
-        analyze_plan_with_trace(&dag.plan, &base).is_clean(),
+        analyze_plan_with_trace(&dag, &base).is_clean(),
         "{}: base trace must be clean for the kill to be attributable",
         m.name()
     );
@@ -71,7 +71,7 @@ fn kill_trace(m: DagMutant, class: &str) {
         "{}: no site in the lowered trace",
         m.name()
     );
-    let report = analyze_plan_with_trace(&dag.plan, &trace);
+    let report = analyze_plan_with_trace(&dag, &trace);
     assert!(
         report.findings.iter().any(|f| f.class.name() == class),
         "{}: expected a '{class}' finding, got: {report}",

@@ -8,10 +8,10 @@ use std::collections::BTreeSet;
 
 use hetsort_analyze::explore::{explore, ExploreConfig};
 use hetsort_analyze::{explore_plan_trace, ExploreMutant, FindingClass, ReplanModel};
-use hetsort_core::optrace::lower_plan;
+use hetsort_core::optrace::lower_dag;
 use hetsort_core::plan::Plan;
 use hetsort_core::recover::survivor_plan;
-use hetsort_core::{Approach, HetSortConfig};
+use hetsort_core::{Approach, HetSortConfig, PlanDag};
 use hetsort_sim::TraceKind;
 use hetsort_vgpu::platform2;
 
@@ -48,7 +48,7 @@ fn explore_mutant(mutant: ExploreMutant) -> Vec<FindingClass> {
     let survivor = survivor_plan(&base, &lost)
         .unwrap()
         .expect("one GPU survives");
-    let mut trace = lower_plan(&survivor);
+    let mut trace = lower_dag(&PlanDag::from_plan(survivor.clone()));
     let wait = trace
         .records
         .iter()
@@ -97,7 +97,7 @@ fn clean_recovery_baseline_stays_clean() {
     let survivor = survivor_plan(&pinned_plan(), &lost)
         .unwrap()
         .expect("one GPU survives");
-    let trace = lower_plan(&survivor);
+    let trace = lower_dag(&PlanDag::from_plan(survivor.clone()));
     let report = explore_plan_trace(&survivor, trace, &ExploreConfig::default());
     assert!(report.is_clean(), "{}", report.summary());
 }

@@ -10,9 +10,9 @@
 
 use hetsort_analyze::explore::{explore, ExploreConfig};
 use hetsort_analyze::{explore_plan, explore_plan_trace, Mutant, ReplanModel, TraceModel};
-use hetsort_core::optrace::lower_plan;
+use hetsort_core::optrace::lower_dag;
 use hetsort_core::plan::Plan;
-use hetsort_core::{Approach, HetSortConfig};
+use hetsort_core::{Approach, HetSortConfig, PlanDag};
 use hetsort_vgpu::{platform1, platform2};
 
 /// The five shipped schedule shapes (PIPEMERGE ships with and without
@@ -49,8 +49,8 @@ fn every_approach_explores_clean_on_both_platforms() {
             } else {
                 2500
             };
-            let plan = Plan::build(cfg, n).unwrap();
-            let report = explore_plan(&plan, &ExploreConfig::default());
+            let dag = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
+            let report = explore_plan(&dag, &ExploreConfig::default());
             assert!(
                 report.is_clean(),
                 "{name}: schedule-space findings on a shipped plan:\n{}",
@@ -119,12 +119,12 @@ fn dpor_finishes_trace_spaces_naive_cannot() {
     let cfg = HetSortConfig::paper_defaults(platform2(), Approach::BLineMulti)
         .with_batch_elems(1000)
         .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 2000).unwrap();
+    let dag = PlanDag::from_plan(Plan::build(cfg, 2000).unwrap());
 
-    let dpor = explore_plan(&plan, &ExploreConfig::default());
+    let dpor = explore_plan(&dag, &ExploreConfig::default());
     assert!(dpor.is_clean() && !dpor.truncated, "{}", dpor.summary());
 
-    let naive = explore_plan(&plan, &ExploreConfig::with_max_ops(200_000).naive());
+    let naive = explore_plan(&dag, &ExploreConfig::with_max_ops(200_000).naive());
     assert!(
         naive.truncated,
         "naive should not finish: {}",
@@ -143,8 +143,8 @@ fn op_budget_truncation_is_reported_not_silent() {
     let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeData)
         .with_batch_elems(1000)
         .with_pinned_elems(500);
-    let plan = Plan::build(cfg, 2500).unwrap();
-    let report = explore_plan(&plan, &ExploreConfig::with_max_ops(10));
+    let dag = PlanDag::from_plan(Plan::build(cfg, 2500).unwrap());
+    let report = explore_plan(&dag, &ExploreConfig::with_max_ops(10));
     assert!(report.truncated);
     assert!(
         report.summary().contains("TRUNCATED"),
@@ -161,10 +161,10 @@ fn seeded_wait_cycle_is_a_reachable_deadlock_in_every_interleaving_engine() {
     let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
         .with_batch_elems(1000)
         .with_pinned_elems(500);
-    let mut plan = Plan::build(cfg, 2500).unwrap();
-    let mut trace = lower_plan(&plan);
-    assert!(Mutant::WaitCycle.apply(&mut plan, &mut trace));
-    let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
+    let mut dag = PlanDag::from_plan(Plan::build(cfg, 2500).unwrap());
+    let mut trace = lower_dag(&dag);
+    assert!(Mutant::WaitCycle.apply(&mut dag, &mut trace));
+    let report = explore_plan_trace(&dag.plan, trace, &ExploreConfig::default());
     assert!(
         report
             .findings
@@ -183,10 +183,10 @@ fn explored_interleavings_rerun_the_hb_checker_per_trace() {
     let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeData)
         .with_batch_elems(1000)
         .with_pinned_elems(500);
-    let mut plan = Plan::build(cfg, 2500).unwrap();
-    let mut trace = lower_plan(&plan);
-    assert!(Mutant::DropWait.apply(&mut plan, &mut trace));
-    let report = explore_plan_trace(&plan, trace, &ExploreConfig::default());
+    let mut dag = PlanDag::from_plan(Plan::build(cfg, 2500).unwrap());
+    let mut trace = lower_dag(&dag);
+    assert!(Mutant::DropWait.apply(&mut dag, &mut trace));
+    let report = explore_plan_trace(&dag.plan, trace, &ExploreConfig::default());
     assert!(
         report
             .findings
@@ -203,7 +203,7 @@ fn trace_model_thread_count_matches_plan_streams() {
         .with_batch_elems(1000)
         .with_pinned_elems(500);
     let plan = Plan::build(cfg, 2500).unwrap();
-    let trace = lower_plan(&plan);
+    let trace = lower_dag(&PlanDag::from_plan(plan.clone()));
     let model = TraceModel::new(trace, None, "pinned");
     use hetsort_analyze::SchedModel;
     // Streams plus the host thread.

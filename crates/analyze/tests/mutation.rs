@@ -6,10 +6,10 @@
 //!   is reported, with the finding class matching the defect class and
 //!   the message naming the offending ops.
 
-use hetsort_analyze::{analyze_plan, analyze_plan_with_trace, analyze_trace, Mutant};
-use hetsort_core::optrace::lower_plan;
+use hetsort_analyze::{analyze_dag, analyze_plan_with_trace, analyze_trace, Mutant};
+use hetsort_core::optrace::lower_dag;
 use hetsort_core::plan::Plan;
-use hetsort_core::{exec_real, exec_real_mt, Approach, HetSortConfig, PairStrategy};
+use hetsort_core::{exec_real, exec_real_mt, Approach, HetSortConfig, PairStrategy, PlanDag};
 use hetsort_vgpu::{platform1, platform2, PlatformSpec, TransferDir, VirtualCuda};
 
 fn scaled(platform: PlatformSpec, approach: Approach) -> HetSortConfig {
@@ -47,7 +47,7 @@ fn shipped_plans() -> Vec<Plan> {
 #[test]
 fn every_shipped_config_is_clean() {
     for plan in shipped_plans() {
-        let report = analyze_plan(&plan);
+        let report = analyze_dag(&PlanDag::from_plan(plan.clone()));
         assert!(
             report.is_clean(),
             "{} {:?} n={} flagged:\n{report}",
@@ -61,16 +61,17 @@ fn every_shipped_config_is_clean() {
 #[test]
 fn every_mutant_is_killed_with_the_right_class() {
     assert!(Mutant::ALL.len() >= 8, "acceptance floor: 8 mutants");
-    let base = Plan::build(scaled(platform1(), Approach::PipeMerge), 6000).unwrap();
+    let base =
+        PlanDag::from_plan(Plan::build(scaled(platform1(), Approach::PipeMerge), 6000).unwrap());
     for mutant in Mutant::ALL {
-        let mut plan = base.clone();
-        let mut trace = lower_plan(&plan);
+        let mut dag = base.clone();
+        let mut trace = lower_dag(&dag);
         assert!(
-            mutant.apply(&mut plan, &mut trace),
+            mutant.apply(&mut dag, &mut trace),
             "{} must apply to the base plan",
             mutant.name()
         );
-        let report = analyze_plan_with_trace(&plan, &trace);
+        let report = analyze_plan_with_trace(&dag, &trace);
         assert!(
             report.has_class(mutant.expected_class()),
             "{} expected a {:?} finding, got:\n{report}",
@@ -82,10 +83,11 @@ fn every_mutant_is_killed_with_the_right_class() {
 
 #[test]
 fn race_findings_name_both_ops_and_the_missing_edge() {
-    let mut plan = Plan::build(scaled(platform1(), Approach::PipeMerge), 6000).unwrap();
-    let mut trace = lower_plan(&plan);
-    assert!(Mutant::DropWait.apply(&mut plan, &mut trace));
-    let report = analyze_plan_with_trace(&plan, &trace);
+    let mut dag =
+        PlanDag::from_plan(Plan::build(scaled(platform1(), Approach::PipeMerge), 6000).unwrap());
+    let mut trace = lower_dag(&dag);
+    assert!(Mutant::DropWait.apply(&mut dag, &mut trace));
+    let report = analyze_plan_with_trace(&dag, &trace);
     let race = report
         .findings
         .iter()
@@ -122,7 +124,7 @@ fn executor_recorded_traces_are_clean() {
         ] {
             assert!(outcome.verified);
             let trace = outcome.trace.expect("record_trace was on");
-            let report = analyze_plan_with_trace(&plan, &trace);
+            let report = analyze_plan_with_trace(&PlanDag::from_plan(plan.clone()), &trace);
             assert!(
                 report.is_clean(),
                 "{name} {} executed trace flagged:\n{report}",

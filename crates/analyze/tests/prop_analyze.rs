@@ -2,10 +2,10 @@
 //! `Plan::build` produces, and rejects every applicable mutant of any
 //! such plan — not just the hand-picked base in the mutation suite.
 
-use hetsort_analyze::{analyze_plan, analyze_plan_with_trace, Mutant};
-use hetsort_core::optrace::lower_plan;
+use hetsort_analyze::{analyze_dag, analyze_plan_with_trace, Mutant};
+use hetsort_core::optrace::lower_dag;
 use hetsort_core::plan::Plan;
-use hetsort_core::{Approach, HetSortConfig, PairStrategy};
+use hetsort_core::{Approach, HetSortConfig, PairStrategy, PlanDag};
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::platform1;
 use hetsort_vgpu::platform2;
@@ -37,7 +37,7 @@ fn arb_plan(rng: &mut Rng) -> Plan {
 fn analyzer_accepts_every_built_plan() {
     run_cases("analyzer_accepts_every_built_plan", 60, |rng| {
         let plan = arb_plan(rng);
-        let report = analyze_plan(&plan);
+        let report = analyze_dag(&PlanDag::from_plan(plan.clone()));
         prop_assert!(
             report.is_clean(),
             "false positive on {} {:?} n={} b_s={} p_s={} streams={}:\n{report}",
@@ -55,14 +55,15 @@ fn analyzer_accepts_every_built_plan() {
 #[test]
 fn analyzer_rejects_every_applicable_mutant() {
     run_cases("analyzer_rejects_every_applicable_mutant", 30, |rng| {
-        let base = arb_plan(rng);
+        let base = PlanDag::from_plan(arb_plan(rng));
         for mutant in Mutant::ALL {
-            let mut plan = base.clone();
-            let mut trace = lower_plan(&plan);
-            if !mutant.apply(&mut plan, &mut trace) {
+            let mut dag = base.clone();
+            let mut trace = lower_dag(&dag);
+            if !mutant.apply(&mut dag, &mut trace) {
                 continue; // shape doesn't support this defect
             }
-            let report = analyze_plan_with_trace(&plan, &trace);
+            let report = analyze_plan_with_trace(&dag, &trace);
+            let plan = &dag.plan;
             prop_assert!(
                 report.has_class(mutant.expected_class()),
                 "{} survived on {} {:?} n={} b_s={} p_s={} streams={}:\n{report}",

@@ -5,17 +5,15 @@
 //! [`ReadySet`] and differ only in the resource model:
 //!
 //! * [`execute_dag`] — one host thread. Under the default
-//!   [`TieBreak::MinId`] the ready order *is* the plan submission
+//!   [`TieBreak::MinId`] the ready order *is* the lowering's submission
 //!   order, so outputs, spans, recovery statistics, fault-injection
-//!   occurrence alignment and executed traces are bit-identical to the
-//!   legacy sequential interpreter this engine replaced (the
-//!   differential suite pins this).
+//!   occurrence alignment and executed traces are deterministic (the
+//!   differential suite pins them against the pooled engine).
 //! * [`execute_dag_pooled`] — a pool of N workers pulls ready
 //!   stream-bound nodes (stream exclusivity falls out of the FIFO
 //!   edges: at most one node per stream is ever ready), while the
 //!   calling thread coordinates merges, firing each pair merge the
-//!   moment both inputs exist — the legacy multi-threaded executor's
-//!   concurrency structure, now over an explicit graph.
+//!   moment both inputs exist.
 //!
 //! Both engines route the full failure model through the same code:
 //! per-batch checkpointing, survivor re-planning on device loss
@@ -29,7 +27,7 @@ use std::sync::{Condvar, Mutex};
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::merge::par_merge_into_cfg;
 use hetsort_algos::multiway::par_multiway_merge_into_cfg;
-use hetsort_algos::par::{par_copy, SchedCfg};
+use hetsort_algos::par::{par_copy, SchedCfg, SchedStats};
 use hetsort_algos::radix_par::par_radix_sort_cfg;
 use hetsort_algos::verify::{fingerprint, is_sorted};
 use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
@@ -39,7 +37,7 @@ use crate::dag::{DagOp, PlanDag, ReadySet, TieBreak};
 use crate::error::HetSortError;
 use crate::exec_real::{assemble_trace, cpu_part_spans, RealOutcome};
 use crate::exec_stream::StreamExec;
-use crate::plan::{MergeInput, MergeSrc, Plan};
+use crate::plan::{MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
 
@@ -68,7 +66,8 @@ pub struct DagExecOptions {
 }
 
 /// Shared entry checks: data/plan agreement, element width, plan
-/// invariants, dag validity.
+/// invariants, dag validity (which makes every stream index the
+/// engines take from a node in range).
 fn check_inputs<T>(dag: &PlanDag, data: &[T]) -> Result<(), HetSortError> {
     let plan = &dag.plan;
     if data.len() != plan.n {
@@ -87,17 +86,7 @@ fn check_inputs<T>(dag: &PlanDag, data: &[T]) -> Result<(), HetSortError> {
         )));
     }
     plan.check_invariants()?;
-    dag.validate()?;
-    if dag.nodes.len() != plan.steps.len() {
-        return Err(HetSortError::Plan {
-            reason: format!(
-                "dag has {} nodes for {} plan steps",
-                dag.nodes.len(),
-                plan.steps.len()
-            ),
-        });
-    }
-    Ok(())
+    dag.validate()
 }
 
 /// The sorted slice behind a merge source, if it exists yet.
@@ -113,20 +102,39 @@ pub(crate) fn src_slice<'x, T>(
 }
 
 /// Span class and label for a pair slot under the dag's (possibly
-/// hybrid) node typing: slots hybrid lowering re-typed to
-/// [`DagOp::CpuMerge`] record under their own class so pooled runs
-/// emit the same span multiset as the sequential engine.
-fn pair_class(cpu_slot: &[bool], slot: usize) -> (OpClass, String) {
-    pair_class_of(cpu_slot.get(slot).copied().unwrap_or(false), slot)
-}
-
-/// As [`pair_class`], from an already-resolved typing flag.
-fn pair_class_of(cpu: bool, slot: usize) -> (OpClass, String) {
+/// hybrid) node typing: slots hybrid lowering emitted as
+/// [`DagOp::CpuMerge`] (`cpu`) record under their own class.
+fn pair_class(cpu: bool, slot: usize) -> (OpClass, String) {
     if cpu {
         (OpClass::CpuMerge, format!("CpuMerge p{slot}"))
     } else {
         (OpClass::PairMerge, format!("PairMerge p{slot}"))
     }
+}
+
+/// Span class and label for the final merge of `k` sublists.
+fn multiway_class(k: usize) -> (OpClass, String) {
+    (OpClass::MultiwayMerge, format!("MultiwayMerge k{k}"))
+}
+
+/// Run one merge on the run clock `t0` and record it: a span under
+/// `class`/`label` carrying `bytes`, then one [`OpClass::CpuPart`] span
+/// per worker that took part. Every merge path — sequential, pooled
+/// coordinator, steal worker — records through here, so all engines
+/// emit the same span multiset.
+fn record_merge(
+    spans: &mut Vec<ObsSpan>,
+    t0: std::time::Instant,
+    (class, label): (OpClass, String),
+    bytes: f64,
+    merge: impl FnOnce() -> SchedStats,
+) {
+    let m_start = t0.elapsed().as_secs_f64();
+    let stats = merge();
+    spans.push(
+        ObsSpan::new(class, label.clone(), m_start, t0.elapsed().as_secs_f64()).with_bytes(bytes),
+    );
+    spans.extend(cpu_part_spans(&label, m_start, &stats));
 }
 
 /// Which pair slots the dag types as [`DagOp::CpuMerge`], indexed by
@@ -184,14 +192,13 @@ pub(crate) fn fire_ready_pairs<T>(
                 continue;
             };
             let mut out = vec![T::default(); spec.out_elems];
-            let m_start = t0.elapsed().as_secs_f64();
-            let (class, label) = pair_class(cpu_slot, slot);
-            let stats = par_merge_into_cfg(sched, merge_threads, l, r, &mut out);
-            spans.push(
-                ObsSpan::new(class, label.clone(), m_start, t0.elapsed().as_secs_f64())
-                    .with_bytes(spec.out_elems as f64 * plan.config.elem_bytes),
+            record_merge(
+                spans,
+                t0,
+                pair_class(cpu_slot[slot], slot),
+                spec.out_elems as f64 * plan.config.elem_bytes,
+                || par_merge_into_cfg(sched, merge_threads, l, r, &mut out),
             );
-            spans.extend(cpu_part_spans(&label, m_start, &stats));
             pair_out[slot] = Some(out);
             pending.remove(i);
             fired = true;
@@ -248,7 +255,7 @@ fn dispatch_ready_pairs<T: Clone>(
             left: l.to_vec(),
             right: r.to_vec(),
             out_elems: spec.out_elems,
-            cpu: cpu_slot.get(slot).copied().unwrap_or(false),
+            cpu: cpu_slot[slot],
         };
         if task_tx.send(task).is_err() {
             i += 1;
@@ -272,70 +279,59 @@ fn run_merge_node<T>(
     t0: std::time::Instant,
     w: &[T],
     b_out: &mut [T],
-    pair_out: &mut Vec<Vec<T>>,
+    pair_out: &mut [Vec<T>],
     merge_spans: &mut Vec<ObsSpan>,
     pair_merges_done: &mut usize,
 ) -> Result<(), HetSortError>
 where
     T: RadixKey + SortOrd + Default,
 {
-    let cfg = &plan.config;
+    let elem_bytes = plan.config.elem_bytes;
+    let resolve = |src: MergeSrc, pair_out: &'_ [Vec<T>]| -> Vec<T> {
+        match src {
+            MergeSrc::Batch(b) => {
+                let bi = &plan.batches[b];
+                w[bi.start..bi.start + bi.len].to_vec()
+            }
+            MergeSrc::Merged(p) => pair_out[p].clone(),
+        }
+    };
     match op {
         DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-            let spec = *plan.pairs.get(*slot).ok_or_else(|| HetSortError::Plan {
-                reason: format!("merge references missing pair slot {slot}"),
-            })?;
-            let resolve = |src: MergeSrc, pair_out: &'_ Vec<Vec<T>>| -> Vec<T> {
-                match src {
-                    MergeSrc::Batch(b) => {
-                        let bi = &plan.batches[b];
-                        w[bi.start..bi.start + bi.len].to_vec()
-                    }
-                    MergeSrc::Merged(p) => pair_out[p].clone(),
-                }
-            };
+            let spec = plan.pairs[*slot];
             // Borrow discipline: snapshot inputs, then write the slot.
             let left = resolve(spec.left, pair_out);
             let right = resolve(spec.right, pair_out);
             let mut out = vec![T::default(); spec.out_elems];
-            let m_start = t0.elapsed().as_secs_f64();
-            let (class, label) = match op {
-                DagOp::CpuMerge { .. } => (OpClass::CpuMerge, format!("CpuMerge p{slot}")),
-                _ => (OpClass::PairMerge, format!("PairMerge p{slot}")),
-            };
-            let stats = par_merge_into_cfg(sched, host_threads, &left, &right, &mut out);
-            merge_spans.push(
-                ObsSpan::new(class, label.clone(), m_start, t0.elapsed().as_secs_f64())
-                    .with_bytes(spec.out_elems as f64 * cfg.elem_bytes),
+            record_merge(
+                merge_spans,
+                t0,
+                pair_class(matches!(op, DagOp::CpuMerge { .. }), *slot),
+                spec.out_elems as f64 * elem_bytes,
+                || par_merge_into_cfg(sched, host_threads, &left, &right, &mut out),
             );
-            merge_spans.extend(cpu_part_spans(&label, m_start, &stats));
             pair_out[*slot] = out;
             *pair_merges_done += 1;
         }
-        DagOp::MultiwayMerge { inputs } => {
-            let lists: Vec<&[T]> = inputs
+        DagOp::MultiwayMerge => {
+            let lists: Vec<&[T]> = plan
+                .final_inputs
                 .iter()
-                .map(|inp| match *inp {
-                    MergeInput::Batch(b) => {
+                .map(|&src| match src {
+                    MergeSrc::Batch(b) => {
                         let bi = &plan.batches[b];
                         &w[bi.start..bi.start + bi.len]
                     }
-                    MergeInput::Pair(p) => pair_out[p].as_slice(),
+                    MergeSrc::Merged(p) => pair_out[p].as_slice(),
                 })
                 .collect();
-            let m_start = t0.elapsed().as_secs_f64();
-            let label = format!("MultiwayMerge k{}", lists.len());
-            let stats = par_multiway_merge_into_cfg(sched, host_threads, &lists, b_out);
-            merge_spans.push(
-                ObsSpan::new(
-                    OpClass::MultiwayMerge,
-                    label.clone(),
-                    m_start,
-                    t0.elapsed().as_secs_f64(),
-                )
-                .with_bytes(plan.n as f64 * cfg.elem_bytes),
+            record_merge(
+                merge_spans,
+                t0,
+                multiway_class(lists.len()),
+                plan.n as f64 * elem_bytes,
+                || par_multiway_merge_into_cfg(sched, host_threads, &lists, b_out),
             );
-            merge_spans.extend(cpu_part_spans(&label, m_start, &stats));
         }
         other => {
             return Err(HetSortError::Plan {
@@ -436,12 +432,13 @@ where
         // stream nodes only (their merges are never executed).
         let mut ready = ReadySet::new(
             cur_dag,
-            |i| on_base || !cur_dag.nodes[i].op.is_merge(),
+            |i| on_base || cur_dag.nodes[i].stream.is_some(),
             opts.tie,
         );
         while let Some(si) = ready.pop() {
             let node = &cur_dag.nodes[si];
-            if node.op.is_merge() {
+            // A validated dag binds exactly the non-merge ops to streams.
+            let Some(s) = node.stream else {
                 run_merge_node(
                     plan,
                     &node.op,
@@ -457,7 +454,7 @@ where
                 merge_done[si] = true;
                 ready.complete(si);
                 continue;
-            }
+            };
             if let Some(bi) = node.op.batch() {
                 if emitted[bi] >= cur.batches[bi].len {
                     if cur.config.record_trace {
@@ -467,11 +464,8 @@ where
                     continue;
                 }
             }
-            let s = node.stream.ok_or_else(|| HetSortError::Plan {
-                reason: format!("node {si} has no stream"),
-            })?;
             let dst = if nb > 1 { &mut w } else { &mut b_out };
-            let r = streams[s].step(si, &mut |batch, start, chunk| {
+            let r = streams[s].step(si, &node.op, &mut |batch, start, chunk| {
                 par_copy(memcpy_threads, chunk, &mut dst[start..start + chunk.len()]);
                 emitted[batch] += chunk.len();
             });
@@ -493,7 +487,7 @@ where
         }
         if cur.config.record_trace {
             // The trace covers the final pass; earlier aborted passes'
-            // logs reference a different plan's step indices.
+            // logs reference a different dag's node ids.
             final_logs = streams.iter().map(|sx| sx.access_log.clone()).collect();
             final_logs.push(skipped_log);
         }
@@ -589,12 +583,11 @@ where
 
     recovery.faults_injected = cfg.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
 
-    // With re-plans, the executed trace covers the final pass (the plan
+    // With re-plans, the executed trace covers the final pass (the dag
     // that actually finished the run).
-    let trace = cfg.record_trace.then(|| {
-        let trace_plan = replans.last().unwrap_or(plan);
-        assemble_trace(trace_plan, &final_logs)
-    });
+    let trace = cfg
+        .record_trace
+        .then(|| assemble_trace(cur_dag_owned.as_ref().unwrap_or(dag), &final_logs));
 
     metrics.record_all(merge_spans);
     recovery.fold_into(&mut metrics);
@@ -622,9 +615,11 @@ enum StreamFail {
     Panicked(String),
 }
 
-/// Pool scheduler state shared by the workers.
+/// Pool scheduler state shared by the workers. Ready and dependent
+/// entries are `(node id, stream)`: the pool only ever holds
+/// stream-bound nodes, so each carries its binding.
 struct PoolSched {
-    ready: BTreeSet<usize>,
+    ready: BTreeSet<(usize, usize)>,
     indegree: Vec<usize>,
     inflight: usize,
     dead: Vec<bool>,
@@ -715,23 +710,21 @@ where
 
     // Stream-subgraph scheduling state (merges belong to the
     // coordinator, not the pool).
-    let stream_scope: Vec<bool> = dag.nodes.iter().map(|n| !n.op.is_merge()).collect();
     let mut indegree = vec![0usize; dag.nodes.len()];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); dag.nodes.len()];
+    let mut dependents: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dag.nodes.len()];
+    let mut ready: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (i, node) in dag.nodes.iter().enumerate() {
-        if !stream_scope[i] {
-            continue;
-        }
+        let Some(s) = node.stream else { continue };
         for &d in &node.deps {
-            if stream_scope[d] {
+            if dag.nodes[d].stream.is_some() {
                 indegree[i] += 1;
-                dependents[d].push(i);
+                dependents[d].push((i, s));
             }
         }
+        if indegree[i] == 0 {
+            ready.insert((i, s));
+        }
     }
-    let ready: BTreeSet<usize> = (0..dag.nodes.len())
-        .filter(|&i| stream_scope[i] && indegree[i] == 0)
-        .collect();
 
     let sched_mx = Mutex::new(PoolSched {
         ready,
@@ -780,10 +773,10 @@ where
                                 TieBreak::MinId => g.ready.iter().next().copied(),
                                 TieBreak::MaxId => g.ready.iter().next_back().copied(),
                             };
-                            if let Some(id) = pick {
-                                g.ready.remove(&id);
+                            if let Some(entry) = pick {
+                                g.ready.remove(&entry);
                                 g.inflight += 1;
-                                break Some(id);
+                                break Some(entry);
                             }
                             if g.inflight == 0 {
                                 break None;
@@ -794,14 +787,13 @@ where
                             };
                         }
                     };
-                    let Some(id) = next else {
+                    let Some((id, s)) = next else {
                         // Drained (or permanently stuck behind a dead
                         // stream): wake any peers still waiting.
                         cond.notify_all();
                         return;
                     };
                     let node = &dag.nodes[id];
-                    let s = node.stream.unwrap_or(0);
                     let stream_dead = lock_any(sched_mx).dead[s];
                     let mut ok = false;
                     if !stream_dead {
@@ -823,7 +815,7 @@ where
                                     }
                                 }
                             }
-                            sx.step(id, &mut |batch, _start, chunk| {
+                            sx.step(id, &node.op, &mut |batch, _start, chunk| {
                                 let (_, buf) = assembling.get_or_insert_with(|| {
                                     (batch, Vec::with_capacity(plan.batches[batch].len))
                                 });
@@ -866,10 +858,10 @@ where
                         let mut g = lock_any(sched_mx);
                         g.inflight -= 1;
                         if ok {
-                            for &j in &dependents[id] {
+                            for &(j, sj) in &dependents[id] {
                                 g.indegree[j] -= 1;
                                 if g.indegree[j] == 0 {
-                                    g.ready.insert(j);
+                                    g.ready.insert((j, sj));
                                 }
                             }
                         } else {
@@ -899,15 +891,14 @@ where
                 let task = lock_any(task_rx).recv();
                 let Ok(t) = task else { return };
                 let mut out = vec![T::default(); t.out_elems];
-                let m_start = t0.elapsed().as_secs_f64();
-                let (class, label) = pair_class_of(t.cpu, t.slot);
-                let stats = par_merge_into_cfg(sched, merge_threads, &t.left, &t.right, &mut out);
-                let mut spans =
-                    vec![
-                        ObsSpan::new(class, label.clone(), m_start, t0.elapsed().as_secs_f64())
-                            .with_bytes(t.out_elems as f64 * plan.config.elem_bytes),
-                    ];
-                spans.extend(cpu_part_spans(&label, m_start, &stats));
+                let mut spans = Vec::new();
+                record_merge(
+                    &mut spans,
+                    t0,
+                    pair_class(t.cpu, t.slot),
+                    t.out_elems as f64 * plan.config.elem_bytes,
+                    || par_merge_into_cfg(sched, merge_threads, &t.left, &t.right, &mut out),
+                );
                 let _ = done_tx.send(MergeDone {
                     slot: t.slot,
                     out,
@@ -1119,21 +1110,19 @@ where
                             })
                             .collect();
                         let mut partial: Vec<Vec<T>> = vec![Vec::new(); nb];
-                        let mut mini = ReadySet::new(
-                            &rp_dag,
-                            |i| !rp_dag.nodes[i].op.is_merge(),
-                            TieBreak::MinId,
-                        );
+                        let mut mini = ReadySet::new(&rp_dag, |_| true, TieBreak::MinId);
                         'mini: while let Some(si) = mini.pop() {
                             mini.complete(si);
                             let node = &rp_dag.nodes[si];
+                            // Merges run on the coordinator once every
+                            // batch is back.
+                            let Some(s) = node.stream else { continue };
                             if let Some(bi) = node.op.batch() {
                                 if sorted_batches[bi].is_some() {
                                     continue;
                                 }
                             }
-                            let Some(s) = node.stream else { continue };
-                            let r = sxs[s].step(si, &mut |batch, _start, chunk| {
+                            let r = sxs[s].step(si, &node.op, &mut |batch, _start, chunk| {
                                 partial[batch].extend_from_slice(chunk);
                             });
                             match r {
@@ -1218,41 +1207,22 @@ where
                 })?;
             b_out.copy_from_slice(only);
         } else {
-            let inputs = dag
-                .nodes
-                .iter()
-                .rev()
-                .find_map(|node| match &node.op {
-                    DagOp::MultiwayMerge { inputs } => Some(inputs.clone()),
-                    _ => None,
-                })
-                .ok_or_else(|| HetSortError::Plan {
-                    reason: "plan has no final merge".to_string(),
-                })?;
-            let mut lists: Vec<&[T]> = Vec::with_capacity(inputs.len());
-            for (k, inp) in inputs.iter().enumerate() {
-                let sl = match *inp {
-                    MergeInput::Batch(b) => sorted_batches[b].as_deref(),
-                    MergeInput::Pair(p) => pair_out[p].as_deref(),
-                }
-                .ok_or_else(|| HetSortError::Plan {
-                    reason: format!("final merge input {k} was never produced"),
+            let mut lists: Vec<&[T]> = Vec::with_capacity(plan.multiway_k());
+            for (k, &src) in plan.final_inputs.iter().enumerate() {
+                let sl = src_slice(src, &sorted_batches, &pair_out).ok_or_else(|| {
+                    HetSortError::Plan {
+                        reason: format!("final merge input {k} was never produced"),
+                    }
                 })?;
                 lists.push(sl);
             }
-            let m_start = t0.elapsed().as_secs_f64();
-            let label = format!("MultiwayMerge k{}", lists.len());
-            let stats = par_multiway_merge_into_cfg(&sched, merge_threads, &lists, &mut b_out);
-            merge_spans.push(
-                ObsSpan::new(
-                    OpClass::MultiwayMerge,
-                    label.clone(),
-                    m_start,
-                    t0.elapsed().as_secs_f64(),
-                )
-                .with_bytes(plan.n as f64 * plan.config.elem_bytes),
+            record_merge(
+                &mut merge_spans,
+                t0,
+                multiway_class(lists.len()),
+                plan.n as f64 * plan.config.elem_bytes,
+                || par_multiway_merge_into_cfg(&sched, merge_threads, &lists, &mut b_out),
             );
-            merge_spans.extend(cpu_part_spans(&label, m_start, &stats));
         }
         Ok(())
     })?;
@@ -1262,7 +1232,7 @@ where
     let trace = plan
         .config
         .record_trace
-        .then(|| assemble_trace(plan, &stream_logs));
+        .then(|| assemble_trace(dag, &stream_logs));
     metrics.record_all(merge_spans);
     recovery.fold_into(&mut metrics);
     pool_stats.fold_into(&mut metrics);
@@ -1491,6 +1461,34 @@ mod tests {
         let g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
         let seq = execute_dag(&g, &d).unwrap();
         assert_eq!(seq.recovery.lost_gpus(), vec![0, 1]);
+    }
+
+    #[test]
+    fn misbound_streams_are_rejected_by_both_engines() {
+        // A binding past the plan's streams would index past both
+        // engines' per-stream state (a pooled worker would panic outside
+        // its sandbox and stall the pool); a missing one has no stream
+        // state to run on. Validation must reject both before any node
+        // runs.
+        let d = data(6_000, 5);
+        let base = dag(Approach::PipeMerge, 1_000, 250, 6_000);
+        let last = base.plan.total_streams - 1;
+        for rebound in [Some(last + 8), None] {
+            let mut g = base.clone();
+            for node in &mut g.nodes {
+                if node.stream == Some(last) {
+                    node.stream = rebound;
+                }
+            }
+            for r in [execute_dag(&g, &d), execute_dag_pooled(&g, &d, 2)] {
+                match r {
+                    Err(HetSortError::Plan { reason }) => {
+                        assert!(reason.starts_with("stream-binding:"), "{reason}")
+                    }
+                    other => panic!("{rebound:?}: expected a Plan error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

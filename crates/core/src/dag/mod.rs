@@ -1,27 +1,23 @@
 //! The executable dependency-DAG IR behind every executor.
 //!
-//! A [`Plan`] is already a static step DAG, but its `Vec<Step>` form
-//! leaves the scheduling contract implicit: executors used to walk the
-//! step list in submission order and re-implement checkpointing,
-//! re-planning and span recording per mode. [`PlanDag`] makes the
-//! contract explicit and machine-checkable:
+//! [`PlanDag::from_plan`] is the one lowering from plan geometry
+//! ([`Plan`]) to ops: it emits every node in FIFO submission order, so
+//! node ids are the `(step i)` numbers fault-injection occurrence
+//! counters, trace labels and spans have always used. The scheduling
+//! contract is explicit and machine-checkable:
 //!
 //! * every node is a typed op ([`DagOp`]) with explicit dependency
-//!   edges (`deps`) and an optional stream binding — node `i` of a
-//!   lowered dag corresponds 1:1 to `plan.steps[i]`, so the stream
-//!   interpreter ([`crate::exec_stream`]) and the fault-injection
-//!   occurrence counters keep their exact meaning;
+//!   edges (`deps`) and a stream binding (`None` exactly for merges);
 //! * [`PlanDag::validate`] rejects malformed graphs with *named* rules
-//!   (`missing-ref`, `cycle`, `duplicate-producer`, `fifo`,
-//!   `sort-input`, `merge-inputs`, `chunk-cover`) so the mutation kill
-//!   suite can assert which rule caught which defect — residency is
-//!   re-checked by `hetsort-analyze`, which owns the platform budget
-//!   model;
+//!   (`missing-ref`, `cycle`, `duplicate-producer`, `stream-binding`,
+//!   `fifo`, `sort-input`, `merge-inputs`, `chunk-cover`) so the
+//!   mutation kill suite can assert which rule caught which defect —
+//!   residency is re-checked by `hetsort-analyze`, which owns the
+//!   platform budget model;
 //! * [`ReadySet`] is the one scheduling structure all engines share:
 //!   pop any ready node, deterministically ([`TieBreak::MinId`] is the
 //!   documented default — over a backward-dependency dag it reproduces
-//!   the legacy submission order exactly, which is what makes the DAG
-//!   engine bit-identical to the executors it replaced).
+//!   the submission order exactly).
 //!
 //! The engines themselves live in [`exec`]; defect constructors for the
 //! kill suite live in [`mutate`].
@@ -31,11 +27,8 @@ pub mod mutate;
 
 use std::collections::BTreeMap;
 
-use hetsort_vgpu::calib::amdahl_speedup;
-
-use crate::config::{HybridMode, PairStrategy};
 use crate::error::HetSortError;
-use crate::plan::{MergeInput, MergeSrc, Plan, StepKind};
+use crate::plan::{MergeSrc, Plan};
 
 /// Scheduler tie-break among ready nodes. Every choice yields a valid
 /// topological execution; [`TieBreak::MinId`] is the determinism
@@ -51,11 +44,12 @@ pub enum TieBreak {
     MaxId,
 }
 
-/// A typed DAG operation. Mirrors [`StepKind`] with the staging
-/// directions folded into one op and one addition: [`DagOp::CpuMerge`],
-/// a pair merge pinned to the host merge resource. Hybrid lowering
-/// ([`crate::config::HybridMode`]) re-types a configured subset of
-/// pair-merge nodes to it in [`PlanDag::from_plan`].
+/// A typed DAG operation. Merge ops name their inputs through the
+/// plan's merge schedule (`plan.pairs`, `plan.final_inputs`), so that
+/// schedule has one home. [`DagOp::CpuMerge`] is a pair merge pinned to
+/// the host merge resource: hybrid lowering
+/// ([`crate::config::HybridMode`]) emits a configured subset of pair
+/// slots as it in [`PlanDag::from_plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DagOp {
     /// Allocate a stream's pinned staging buffer.
@@ -113,11 +107,9 @@ pub enum DagOp {
         /// Index into [`Plan::pairs`].
         slot: usize,
     },
-    /// Final multiway merge into `B`.
-    MultiwayMerge {
-        /// Sublists merged.
-        inputs: Vec<MergeInput>,
-    },
+    /// Final multiway merge into `B`; its sublists are
+    /// [`Plan::final_inputs`].
+    MultiwayMerge,
     /// A two-way merge pinned to the CPU merge resource. Same data
     /// semantics as [`DagOp::PairMerge`]; recorded under its own span
     /// class so hybrid schedules are distinguishable.
@@ -128,72 +120,6 @@ pub enum DagOp {
 }
 
 impl DagOp {
-    /// Lower one plan step kind to its DAG op.
-    pub fn from_step(kind: &StepKind) -> DagOp {
-        match kind {
-            StepKind::PinnedAlloc {
-                stream,
-                bytes,
-                dir_in,
-            } => DagOp::PinnedAlloc {
-                stream: *stream,
-                bytes: *bytes,
-                dir_in: *dir_in,
-            },
-            StepKind::StageIn {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::StagingCopy {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-                dir_in: true,
-            },
-            StepKind::HtoD {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::HtoD {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-            },
-            StepKind::GpuSort { batch } => DagOp::Sort { batch: *batch },
-            StepKind::DtoH {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::DtoH {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-            },
-            StepKind::StageOut {
-                batch,
-                chunk,
-                start,
-                len,
-            } => DagOp::StagingCopy {
-                batch: *batch,
-                chunk: *chunk,
-                start: *start,
-                len: *len,
-                dir_in: false,
-            },
-            StepKind::PairMerge { slot } => DagOp::PairMerge { slot: *slot },
-            StepKind::MultiwayMerge { inputs } => DagOp::MultiwayMerge {
-                inputs: inputs.clone(),
-            },
-        }
-    }
-
     /// The batch a stream-bound op operates on, if any.
     pub fn batch(&self) -> Option<usize> {
         match self {
@@ -203,7 +129,7 @@ impl DagOp {
             | DagOp::DtoH { batch, .. } => Some(*batch),
             DagOp::PinnedAlloc { .. }
             | DagOp::PairMerge { .. }
-            | DagOp::MultiwayMerge { .. }
+            | DagOp::MultiwayMerge
             | DagOp::CpuMerge { .. } => None,
         }
     }
@@ -212,7 +138,7 @@ impl DagOp {
     pub fn is_merge(&self) -> bool {
         matches!(
             self,
-            DagOp::PairMerge { .. } | DagOp::MultiwayMerge { .. } | DagOp::CpuMerge { .. }
+            DagOp::PairMerge { .. } | DagOp::MultiwayMerge | DagOp::CpuMerge { .. }
         )
     }
 
@@ -225,7 +151,7 @@ impl DagOp {
             DagOp::Sort { .. } => "Sort",
             DagOp::DtoH { .. } => "DtoH",
             DagOp::PairMerge { .. } => "PairMerge",
-            DagOp::MultiwayMerge { .. } => "MultiwayMerge",
+            DagOp::MultiwayMerge => "MultiwayMerge",
             DagOp::CpuMerge { .. } => "CpuMerge",
         }
     }
@@ -238,126 +164,26 @@ pub struct DagNode {
     pub op: DagOp,
     /// Node ids that must complete first (deduplicated on lowering).
     pub deps: Vec<usize>,
-    /// Stream the op is submitted to (`None` for merges).
+    /// Stream the op is submitted to (`None` exactly for merges).
     pub stream: Option<usize>,
 }
 
-/// A plan lowered to its explicit dependency DAG. Node `i` of a
-/// lowered dag corresponds to `plan.steps[i]` — the invariant the
-/// engines rely on to drive [`crate::exec_stream::StreamExec`] and keep
-/// fault-occurrence counters aligned with the legacy executors.
+/// A plan lowered to its explicit dependency DAG.
 #[derive(Debug, Clone)]
 pub struct PlanDag {
-    /// The plan this dag was lowered from (owned: survivor re-plans
-    /// lower their own dags during recovery).
+    /// The plan geometry this dag was lowered from (owned: survivor
+    /// re-plans lower their own dags during recovery).
     pub plan: Plan,
-    /// Nodes, id == plan step index.
+    /// Nodes in submission order; a node's id is its index.
     pub nodes: Vec<DagNode>,
 }
 
-/// Which pair-merge slots hybrid lowering routes to the CPU merge
-/// resource, per [`HybridMode`].
-///
-/// * [`HybridMode::Fraction`] routes the *last* `round(frac · slots)`
-///   slots: later slots consume later batches and therefore contend
-///   with the multiway-merge warm-up, where the spare full merge pool
-///   helps most.
-/// * [`HybridMode::Auto`] is deterministic greedy earliest-finish
-///   scheduling between the pair-merge pool and the full CPU merge
-///   pool, using the platform's calibrated merge throughput under
-///   Amdahl scaling; each pool's accumulated predicted busy time is
-///   the queue-depth proxy.
-fn hybrid_cpu_slots(plan: &Plan) -> Vec<bool> {
-    let n_slots = plan.pairs.len();
-    let mut cpu = vec![false; n_slots];
-    match plan.config.hybrid {
-        HybridMode::Off => {}
-        HybridMode::Fraction(f) => {
-            let f = f.clamp(0.0, 1.0);
-            let k = ((f * n_slots as f64).round() as usize).min(n_slots);
-            for flag in cpu.iter_mut().skip(n_slots - k) {
-                *flag = true;
-            }
-        }
-        HybridMode::Auto => {
-            let cfg = &plan.config;
-            let cpu_model = &cfg.platform.cpu;
-            let per_core = 1e9 / cpu_model.merge_ns_per_elem_core;
-            // The pair lane runs at the thread count the executors and
-            // simulator actually grant pipelined merges; the CPU lane
-            // gets the full multiway pool.
-            let pair_threads = if cfg.pair_strategy == PairStrategy::PaperHeuristic {
-                cfg.pair_merge_threads_eff()
-            } else {
-                cfg.merge_threads_eff()
-            };
-            let cap_pair = amdahl_speedup(
-                cpu_model.merge_parallel_fraction,
-                pair_threads.max(1) as usize,
-            ) * per_core;
-            let cap_cpu = amdahl_speedup(
-                cpu_model.merge_parallel_fraction,
-                cfg.merge_threads_eff().max(1) as usize,
-            ) * per_core;
-            let (mut busy_pair, mut busy_cpu) = (0.0f64, 0.0f64);
-            for (slot, spec) in plan.pairs.iter().enumerate() {
-                let t_pair = busy_pair + spec.out_elems as f64 / cap_pair;
-                let t_cpu = busy_cpu + spec.out_elems as f64 / cap_cpu;
-                // Ties keep the default lane, so Auto degrades to Off
-                // when the pools are indistinguishable.
-                if t_cpu < t_pair {
-                    cpu[slot] = true;
-                    busy_cpu = t_cpu;
-                } else {
-                    busy_pair = t_pair;
-                }
-            }
-        }
-    }
-    cpu
-}
-
 impl PlanDag {
-    /// Lower a plan to its DAG. Dependency lists are deduplicated (the
-    /// planner may emit an explicit dep that coincides with the stream
-    /// FIFO dep), so every remaining edge is load-bearing — which is
-    /// what makes "any single edge deletion is rejected" a theorem the
-    /// property suite can test.
-    ///
-    /// When the config enables [`HybridMode`], a post-pass re-types the
-    /// selected pair-merge slots to [`DagOp::CpuMerge`]. Routing lives
-    /// here — not in an engine — so *every* consumer of a plan (both
-    /// functional engines, the simulator, the bench gate, the service)
-    /// interprets the identical hybrid dag, and the decision depends
-    /// only on the config and the plan, never on runtime state.
+    /// Lower plan geometry to its op dag — the only lowering
+    /// (`plan_builders::lower` emits the nodes; see there for
+    /// the emission order, dependency dedup and hybrid routing).
     pub fn from_plan(plan: Plan) -> PlanDag {
-        let mut nodes: Vec<DagNode> = plan
-            .steps
-            .iter()
-            .map(|s| {
-                let mut deps: Vec<usize> = Vec::with_capacity(s.deps.len());
-                for &d in &s.deps {
-                    if !deps.contains(&d) {
-                        deps.push(d);
-                    }
-                }
-                DagNode {
-                    op: DagOp::from_step(&s.kind),
-                    deps,
-                    stream: s.stream,
-                }
-            })
-            .collect();
-        if plan.config.hybrid.is_on() && !plan.pairs.is_empty() {
-            let cpu = hybrid_cpu_slots(&plan);
-            for node in &mut nodes {
-                if let DagOp::PairMerge { slot } = node.op {
-                    if cpu.get(slot).copied().unwrap_or(false) {
-                        node.op = DagOp::CpuMerge { slot };
-                    }
-                }
-            }
-        }
+        let nodes = crate::plan_builders::lower(&plan);
         PlanDag { plan, nodes }
     }
 
@@ -375,6 +201,11 @@ impl PlanDag {
     /// * `cycle` — the dependency relation is not acyclic;
     /// * `duplicate-producer` — two nodes produce the same artifact
     ///   (a batch's sort, a chunk's copy, a merge slot's output);
+    /// * `stream-binding` — a node names a batch, chunk or pair slot the
+    ///   plan does not have, or is not bound to the stream the engines
+    ///   index its state with: its batch's stream (or, for a pinned
+    ///   allocation, the stream it allocates for), and no stream for a
+    ///   merge;
     /// * `fifo` — a stream's nodes lack the FIFO discipline the stream
     ///   interpreter relies on: one total chain under paper staging;
     ///   per-lane chains (host staging vs device DMA/sort) plus the
@@ -455,7 +286,7 @@ impl PlanDag {
                     DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
                         format!("pair slot {slot}")
                     }
-                    DagOp::MultiwayMerge { .. } => "multiway merge".to_string(),
+                    DagOp::MultiwayMerge => "multiway merge".to_string(),
                 };
                 if let Some(&j) = producers.get(&key) {
                     return err(format!(
@@ -463,6 +294,62 @@ impl PlanDag {
                     ));
                 }
                 producers.insert(key, i);
+            }
+        }
+
+        // stream-binding: the ids a node names exist in the plan, and
+        // its stream is the one the engines index per-stream state
+        // with — its batch's stream (a pinned allocation: the stream it
+        // allocates for), and none for merges.
+        {
+            let plan = &self.plan;
+            let ps = plan.config.pinned_elems.max(1);
+            for (i, node) in self.nodes.iter().enumerate() {
+                let fail = |reason: String| HetSortError::Plan {
+                    reason: format!("stream-binding: node {i} {reason}"),
+                };
+                let batch_stream = |b: usize, c: usize| {
+                    let bi = plan
+                        .batches
+                        .get(b)
+                        .ok_or_else(|| fail(format!("names batch {b} of {}", plan.nb())))?;
+                    let chunks = bi.len.div_ceil(ps);
+                    if c >= chunks {
+                        return Err(fail(format!(
+                            "names chunk {c} of batch {b}, which has {chunks}"
+                        )));
+                    }
+                    Ok(Some(bi.stream))
+                };
+                let want = match node.op {
+                    DagOp::PinnedAlloc { stream, .. } => Some(stream),
+                    DagOp::StagingCopy { batch, chunk, .. }
+                    | DagOp::HtoD { batch, chunk, .. }
+                    | DagOp::DtoH { batch, chunk, .. } => batch_stream(batch, chunk)?,
+                    DagOp::Sort { batch } => batch_stream(batch, 0)?,
+                    DagOp::PairMerge { slot } | DagOp::CpuMerge { slot }
+                        if slot >= plan.pairs.len() =>
+                    {
+                        return Err(fail(format!(
+                            "names pair slot {slot} of {}",
+                            plan.pairs.len()
+                        )));
+                    }
+                    DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge => None,
+                };
+                if let Some(s) = node.stream.filter(|&s| s >= plan.total_streams) {
+                    return Err(fail(format!(
+                        "is bound to stream {s} but the plan has {}",
+                        plan.total_streams
+                    )));
+                }
+                if node.stream != want {
+                    return Err(fail(format!(
+                        "({}) is bound to stream {:?}, expected {want:?}",
+                        node.op.class_name(),
+                        node.stream
+                    )));
+                }
             }
         }
 
@@ -672,24 +559,12 @@ impl PlanDag {
             for (i, node) in self.nodes.iter().enumerate() {
                 match &node.op {
                     DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-                        let spec =
-                            self.plan
-                                .pairs
-                                .get(*slot)
-                                .ok_or_else(|| HetSortError::Plan {
-                                    reason: format!(
-                                    "merge-inputs: node {i} references missing pair slot {slot}"
-                                ),
-                                })?;
+                        let spec = self.plan.pairs[*slot];
                         check(i, &node.deps, spec.left)?;
                         check(i, &node.deps, spec.right)?;
                     }
-                    DagOp::MultiwayMerge { inputs } => {
-                        for inp in inputs {
-                            let src = match *inp {
-                                MergeInput::Batch(b) => MergeSrc::Batch(b),
-                                MergeInput::Pair(p) => MergeSrc::Merged(p),
-                            };
+                    DagOp::MultiwayMerge => {
+                        for &src in &self.plan.final_inputs {
                             check(i, &node.deps, src)?;
                         }
                     }
@@ -708,11 +583,6 @@ impl PlanDag {
                     batch, len, dir_in, ..
                 } = node.op
                 {
-                    if batch >= nb {
-                        return err(format!(
-                            "chunk-cover: staging copy names batch {batch} of {nb}"
-                        ));
-                    }
                     if dir_in {
                         cover_in[batch] += len;
                     } else {
@@ -882,7 +752,6 @@ mod tests {
             (Approach::PipeMerge, 7000),
         ] {
             let d = dag(approach, n);
-            assert_eq!(d.nodes.len(), d.plan.steps.len());
             d.validate().unwrap_or_else(|e| panic!("{approach:?}: {e}"));
         }
         for strategy in [PairStrategy::Online, PairStrategy::MergeTree] {
@@ -900,8 +769,8 @@ mod tests {
 
     #[test]
     fn lowering_dedups_the_sort_dep() {
-        // The planner lists a sort's last-HtoD dep twice (explicit +
-        // FIFO); the dag keeps one copy so each edge is load-bearing.
+        // A sort's explicit last-HtoD dep is also its lane's FIFO dep;
+        // the dag keeps one copy so each edge is load-bearing.
         let d = dag(Approach::PipeData, 2000);
         for (i, node) in d.nodes.iter().enumerate() {
             let mut sorted = node.deps.clone();
@@ -909,12 +778,11 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), node.deps.len(), "node {i} has dup deps");
         }
-        // And at least one plan step actually had the duplicate.
-        assert!(d
-            .plan
-            .steps
-            .iter()
-            .any(|s| { matches!(s.kind, StepKind::GpuSort { .. }) && s.deps.len() == 2 }));
+        // And the coincidence actually occurs: some sort keeps exactly
+        // the one edge to its last HtoD.
+        assert!(d.nodes.iter().any(|n| matches!(n.op, DagOp::Sort { .. })
+            && n.deps.len() == 1
+            && matches!(d.nodes[n.deps[0]].op, DagOp::HtoD { .. })));
     }
 
     #[test]
@@ -1035,6 +903,49 @@ mod tests {
     }
 
     #[test]
+    fn stream_binding_checks_bindings_and_ids() {
+        let rule = |d: &PlanDag| match d.validate() {
+            Err(HetSortError::Plan { reason }) => {
+                assert!(reason.starts_with("stream-binding:"), "{reason}")
+            }
+            other => panic!("expected a stream-binding rejection, got {other:?}"),
+        };
+        let base = dag(Approach::PipeMerge, 7000);
+        let first = |pred: fn(&DagOp) -> bool| base.nodes.iter().position(|n| pred(&n.op)).unwrap();
+        let htod = first(|op| matches!(op, DagOp::HtoD { .. }));
+        let merge = first(|op| matches!(op, DagOp::PairMerge { .. }));
+        let mut d = base.clone();
+        d.nodes[htod].stream = Some(d.plan.total_streams);
+        rule(&d);
+        let mut d = base.clone();
+        d.nodes[htod].stream = None;
+        rule(&d);
+        // Stream-bound, in range, but not its batch's stream.
+        let mut d = base.clone();
+        let other = (d.nodes[htod].stream.unwrap() + 1) % d.plan.total_streams;
+        d.nodes[htod].stream = Some(other);
+        rule(&d);
+        let mut d = base.clone();
+        d.nodes[merge].stream = Some(0);
+        rule(&d);
+        let mut d = base.clone();
+        d.nodes[merge].op = DagOp::PairMerge {
+            slot: d.plan.pairs.len(),
+        };
+        rule(&d);
+        let mut d = base.clone();
+        if let DagOp::HtoD { batch, .. } = &mut d.nodes[htod].op {
+            *batch = d.plan.nb();
+        }
+        rule(&d);
+        let mut d = base.clone();
+        if let DagOp::HtoD { chunk, .. } = &mut d.nodes[htod].op {
+            *chunk = 4; // batches of 1000 at p_s = 300 have chunks 0..4
+        }
+        rule(&d);
+    }
+
+    #[test]
     fn ready_width_reflects_streams() {
         let one = dag(Approach::BLineMulti, 5000); // 1 stream
         let two = dag(Approach::PipeData, 6000); // 2 streams
@@ -1056,7 +967,7 @@ mod tests {
         assert_eq!(order.len(), merges);
         assert!(matches!(
             d.nodes[*order.last().unwrap()].op,
-            DagOp::MultiwayMerge { .. }
+            DagOp::MultiwayMerge
         ));
     }
 }

@@ -49,12 +49,16 @@ pub enum DagMutant {
     WrongStreamEvent,
     /// Hoist a buffer's `Free` above its last reader.
     FreeBeforeLastReader,
+    /// Rebind every node of the last stream to a stream the plan does
+    /// not have (`total_streams + 7`): the engines would index past
+    /// their per-stream state.
+    RebindStream,
 }
 
 impl DagMutant {
     /// Every mutant, in display order (the kill suite's acceptance
-    /// floor is 8; this battery seeds 10).
-    pub const ALL: [DagMutant; 10] = [
+    /// floor is 8; this battery seeds 11).
+    pub const ALL: [DagMutant; 11] = [
         DagMutant::DropFifoEdge,
         DagMutant::SwapDepDirection,
         DagMutant::DuplicateProducer,
@@ -65,6 +69,7 @@ impl DagMutant {
         DagMutant::SkipCheckpoint,
         DagMutant::WrongStreamEvent,
         DagMutant::FreeBeforeLastReader,
+        DagMutant::RebindStream,
     ];
 
     /// Stable display name.
@@ -80,6 +85,7 @@ impl DagMutant {
             DagMutant::SkipCheckpoint => "skip-checkpoint",
             DagMutant::WrongStreamEvent => "wrong-stream-event",
             DagMutant::FreeBeforeLastReader => "free-before-last-reader",
+            DagMutant::RebindStream => "rebind-stream",
         }
     }
 
@@ -99,6 +105,7 @@ impl DagMutant {
             DagMutant::SkipCheckpoint => "differential:recovery-stats",
             DagMutant::WrongStreamEvent => "analyzer:missing-sync",
             DagMutant::FreeBeforeLastReader => "analyzer:use-after-free",
+            DagMutant::RebindStream => "validator:stream-binding",
         }
     }
 
@@ -203,6 +210,19 @@ impl DagMutant {
                 }
                 false
             }
+            DagMutant::RebindStream => {
+                let Some(last) = dag.plan.total_streams.checked_sub(1) else {
+                    return false;
+                };
+                let mut hit = false;
+                for node in &mut dag.nodes {
+                    if node.stream == Some(last) {
+                        node.stream = Some(last + 8);
+                        hit = true;
+                    }
+                }
+                hit
+            }
             DagMutant::SkipCheckpoint
             | DagMutant::WrongStreamEvent
             | DagMutant::FreeBeforeLastReader => false,
@@ -280,7 +300,7 @@ mod tests {
     #[test]
     fn trace_mutants_apply() {
         let d = dag();
-        let trace = crate::optrace::lower_plan(&d.plan);
+        let trace = crate::optrace::lower_dag(&d);
         for m in [DagMutant::WrongStreamEvent, DagMutant::FreeBeforeLastReader] {
             let mut t = trace.clone();
             assert!(m.apply_trace(&mut t), "{} found no site", m.name());

@@ -6,9 +6,7 @@
 //! [`crate::dag::exec`]. A plan is lowered to a [`crate::dag::PlanDag`]
 //! (typed ops + explicit dependency edges), validated, and executed by
 //! [`crate::dag::exec::execute_dag`] in deterministic min-node-id ready
-//! order — which, for planner-built dags, reproduces the legacy
-//! submission-order loop bit for bit (proven by
-//! `tests/dag_differential.rs`).
+//! order, which is the lowering's submission order.
 //!
 //! Stream-bound ops run through [`crate::exec_stream::StreamExec`],
 //! which implements the failure model: injected faults, bounded
@@ -26,8 +24,9 @@ use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 use hetsort_sim::{Access, OpTrace};
 
 use crate::config::HetSortConfig;
+use crate::dag::PlanDag;
 use crate::error::HetSortError;
-use crate::optrace::trace_with_accesses;
+use crate::optrace::trace_dag_with_accesses;
 use crate::plan::Plan;
 use crate::report::RecoveryStats;
 
@@ -54,9 +53,9 @@ pub struct RealOutcome<T = f64> {
     /// reroutes show up here, so re-planned schedules get re-checked by
     /// `hetsort-analyze`.
     pub trace: Option<OpTrace>,
-    /// Observability: every executed step as a wall-clock span, plus
+    /// Observability: every executed op as a wall-clock span, plus
     /// `recovery.*` counters — always recorded (spans cost nanoseconds
-    /// against host-scale steps).
+    /// against host-scale ops).
     pub metrics: MetricsRegistry,
     /// Recovery re-plans built after device losses, in the order they
     /// were adopted (empty on runs that lost no device). Each already
@@ -85,15 +84,15 @@ pub(crate) fn cpu_part_spans(parent_label: &str, m_start: f64, stats: &SchedStat
         .collect()
 }
 
-/// Merge per-stream access logs into one executed trace.
-pub(crate) fn assemble_trace(plan: &Plan, logs: &[Vec<(usize, Vec<Access>)>]) -> OpTrace {
-    let mut overrides: Vec<Option<Vec<Access>>> = vec![None; plan.steps.len()];
+/// Merge per-stream access logs into one executed trace of `dag`.
+pub(crate) fn assemble_trace(dag: &PlanDag, logs: &[Vec<(usize, Vec<Access>)>]) -> OpTrace {
+    let mut overrides: Vec<Option<Vec<Access>>> = vec![None; dag.nodes.len()];
     for log in logs {
         for (si, acc) in log {
             overrides[*si] = Some(acc.clone());
         }
     }
-    trace_with_accesses(plan, &overrides)
+    trace_dag_with_accesses(dag, &overrides)
 }
 
 /// Sort `data` with the configured heterogeneous pipeline, functionally.
@@ -123,7 +122,7 @@ pub fn sort_real_plan<T>(plan: &Plan, data: &[T]) -> Result<RealOutcome<T>, HetS
 where
     T: RadixKey + SortOrd + Default,
 {
-    crate::dag::exec::execute_dag(&crate::dag::PlanDag::from_plan(plan.clone()), data)
+    crate::dag::exec::execute_dag(&PlanDag::from_plan(plan.clone()), data)
 }
 
 #[cfg(test)]

@@ -245,9 +245,9 @@ pub fn simulate_dag(dag: &PlanDag) -> Result<TimingReport, HetSortError> {
                 let spec = &plan.pairs[*slot];
                 m.cpu_merge(spec.out_elems as f64, merge_threads, &deps, Some(cpu_lane))
             }
-            DagOp::MultiwayMerge { inputs } => m.multiway_merge(
+            DagOp::MultiwayMerge => m.multiway_merge(
                 plan.n as f64,
-                inputs.len(),
+                plan.multiway_k(),
                 merge_threads,
                 &deps,
                 Some(cpu_lane),

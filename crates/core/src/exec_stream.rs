@@ -1,8 +1,10 @@
-//! The per-stream step interpreter shared by both functional executors.
+//! The per-stream op interpreter shared by both functional engines.
 //!
-//! [`crate::exec_real`] drives one [`StreamExec`] per stream from a
-//! single thread; [`crate::exec_real_mt`] gives each worker thread its
-//! own. Either way, the stream-bound steps (staging copies, transfers,
+//! The sequential engine ([`crate::dag::exec::execute_dag`]) drives one
+//! [`StreamExec`] per stream from a single thread; the pooled engine
+//! ([`crate::dag::exec::execute_dag_pooled`]) hands each stream's
+//! interpreter to whichever worker pops that stream's next ready node.
+//! Either way, the stream-bound [`DagOp`]s (staging copies, transfers,
 //! device sorts) run through this interpreter, which owns the stream's
 //! pinned and device buffers and implements the whole failure model:
 //!
@@ -20,7 +22,7 @@
 //!   OOM with splitting disabled) degrade to a host-side sort of the
 //!   batch straight from `A` ([`Mode::CpuFallback`]) when the policy
 //!   allows, and otherwise propagate as typed [`HetSortError`]s naming
-//!   the exact step and batch.
+//!   the exact node (`step`) and batch.
 //!
 //! Batches handled host-side bypass the DMA path, so later transfer
 //! occurrences shift relative to a fault-free run; schedules are
@@ -38,11 +40,12 @@ use hetsort_sim::{Access, Buffer};
 use hetsort_vgpu::{FaultInjector, FaultSite, TransferDir};
 
 use crate::config::{DeviceSortKind, RecoveryPolicy};
+use crate::dag::DagOp;
 use crate::error::HetSortError;
 use crate::optrace::{
     pinned_in_id, pinned_out_id, region_host_batch, REGION_A, REGION_B, REGION_W,
 };
-use crate::plan::{BatchInfo, Plan, StepKind};
+use crate::plan::{BatchInfo, Plan};
 use crate::pool::BufferPool;
 use crate::report::RecoveryStats;
 
@@ -86,15 +89,15 @@ pub(crate) struct StreamExec<'a, T> {
     pub(crate) pool: BufferPool<T>,
     /// Per-stream recovery counters (merged by the caller).
     pub(crate) stats: RecoveryStats,
-    /// When `config.record_trace` is set: the buffer accesses each step
-    /// actually performed, `(step index, accesses)` — the raw material
-    /// of [`crate::optrace::trace_with_accesses`].
+    /// When `config.record_trace` is set: the buffer accesses each node
+    /// actually performed, `(node id, accesses)` — the raw material of
+    /// [`crate::optrace::trace_dag_with_accesses`].
     pub(crate) access_log: Vec<(usize, Vec<Access>)>,
     /// Run origin shared by every stream of the run, so span timestamps
     /// from different worker threads are directly comparable.
     t0: Instant,
-    /// One observability span per executed step (always on: host-scale
-    /// steps cost milliseconds, a span record costs nanoseconds).
+    /// One observability span per executed node (always on: host-scale
+    /// ops cost milliseconds, a span record costs nanoseconds).
     pub(crate) span_log: Vec<ObsSpan>,
 }
 
@@ -279,8 +282,8 @@ where
         }
     }
 
-    /// Execute one stream-bound step. `emit` receives every completed
-    /// `StageOut` chunk as `(batch, global_start, chunk_data)`.
+    /// Execute stream-bound node `si` (op `op`). `emit` receives every
+    /// completed stage-out chunk as `(batch, global_start, chunk_data)`.
     ///
     /// # Errors
     ///
@@ -288,15 +291,16 @@ where
     pub(crate) fn step(
         &mut self,
         si: usize,
+        op: &DagOp,
         emit: &mut impl FnMut(usize, usize, &[T]),
     ) -> Result<(), HetSortError> {
         let ps = self.plan.config.pinned_elems;
         let span_start = self.t0.elapsed().as_secs_f64();
-        // Accesses this step actually performs — which differ from the
+        // Accesses this node actually performs — which differ from the
         // static lowering once recovery reroutes a batch host-side.
         let mut acc: Vec<Access> = Vec::new();
-        match &self.plan.steps[si].kind {
-            StepKind::PinnedAlloc { dir_in, .. } => {
+        match op {
+            DagOp::PinnedAlloc { dir_in, .. } => {
                 let elided = self.plan.stage_out_elided();
                 if *dir_in {
                     // Double-buffered plans carve both halves out of
@@ -313,8 +317,12 @@ where
                     self.pinned_out.resize(ps, T::default());
                 }
             }
-            StepKind::StageIn {
-                start, len, chunk, ..
+            DagOp::StagingCopy {
+                start,
+                len,
+                chunk,
+                dir_in: true,
+                ..
             } => {
                 // Host→pinned staging memcpy: the PARMEMCPY knob makes
                 // this copy parallel (self-scheduled chunks).
@@ -332,7 +340,7 @@ where
                 }));
                 acc.push(Access::write(self.pin_in_buf(half)));
             }
-            StepKind::HtoD {
+            DagOp::HtoD {
                 batch,
                 chunk,
                 start,
@@ -379,7 +387,7 @@ where
                     }
                 }
             }
-            StepKind::GpuSort { batch } => {
+            DagOp::Sort { batch } => {
                 let b = self.plan.batches[*batch];
                 if self.mode != Mode::CpuFallback {
                     self.device_check(&b)?;
@@ -467,7 +475,7 @@ where
                     }
                 }
             }
-            StepKind::DtoH {
+            DagOp::DtoH {
                 batch, start, len, ..
             } => {
                 let b = self.plan.batches[*batch];
@@ -522,8 +530,12 @@ where
                     acc.push(Access::write(self.pin_out_buf()));
                 }
             }
-            StepKind::StageOut {
-                batch, start, len, ..
+            DagOp::StagingCopy {
+                batch,
+                start,
+                len,
+                dir_in: false,
+                ..
             } => {
                 let region = if self.plan.nb() > 1 {
                     REGION_W
@@ -552,9 +564,9 @@ where
                     len: *len,
                 }));
             }
-            StepKind::PairMerge { .. } | StepKind::MultiwayMerge { .. } => {
+            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge => {
                 return Err(HetSortError::Plan {
-                    reason: format!("step {si}: merge steps are not stream-bound"),
+                    reason: format!("node {si}: merges are not stream-bound"),
                 });
             }
         }
@@ -564,24 +576,24 @@ where
             self.access_log.push((si, acc));
         }
         let elem_bytes = self.plan.config.elem_bytes;
-        let (class, batch, bytes) = match &self.plan.steps[si].kind {
-            StepKind::PinnedAlloc { .. } => (OpClass::PinnedAlloc, None, ps as f64 * elem_bytes),
-            StepKind::StageIn { batch, len, .. } | StepKind::StageOut { batch, len, .. } => {
+        let (class, batch, bytes) = match op {
+            DagOp::PinnedAlloc { .. } => (OpClass::PinnedAlloc, None, ps as f64 * elem_bytes),
+            DagOp::StagingCopy { batch, len, .. } => {
                 (OpClass::StagingCopy, Some(*batch), *len as f64 * elem_bytes)
             }
-            StepKind::HtoD { batch, len, .. } => {
+            DagOp::HtoD { batch, len, .. } => {
                 (OpClass::HtoD, Some(*batch), *len as f64 * elem_bytes)
             }
-            StepKind::GpuSort { batch } => (
+            DagOp::Sort { batch } => (
                 OpClass::GpuSort,
                 Some(*batch),
                 self.plan.batches[*batch].len as f64 * elem_bytes,
             ),
-            StepKind::DtoH { batch, len, .. } => {
+            DagOp::DtoH { batch, len, .. } => {
                 (OpClass::DtoH, Some(*batch), *len as f64 * elem_bytes)
             }
-            // Merge steps errored out above.
-            StepKind::PairMerge { .. } | StepKind::MultiwayMerge { .. } => {
+            // Merges errored out above.
+            DagOp::PairMerge { .. } | DagOp::CpuMerge { .. } | DagOp::MultiwayMerge => {
                 (OpClass::Other, None, 0.0)
             }
         };

@@ -12,10 +12,11 @@
 //! | [`Approach::PipeMerge`] | §III-D3 | pair-wise merges pipelined under GPU sorting |
 //! | `par_memcpy` flag | PARMEMCPY | parallel staging copies (host-side bottleneck) |
 //!
-//! A [`plan::Plan`] is the static step DAG of one configured run. Two
-//! executors interpret the *same* plan:
+//! A [`plan::Plan`] is the static geometry of one configured run, and
+//! [`dag::PlanDag::from_plan`] lowers it to the op dag every executor
+//! interprets — the *same* dag either way:
 //!
-//! * [`exec_sim`] lowers it onto the calibrated [`hetsort_vgpu::Machine`]
+//! * [`exec_sim`] maps it onto the calibrated [`hetsort_vgpu::Machine`]
 //!   and returns a [`report::TimingReport`] (paper-scale timing);
 //! * [`exec_real`] executes it on actual `f64` data — staging copies,
 //!   device-resident radix sorts, pair and multiway merges — and

@@ -1,19 +1,16 @@
-//! Lowering a [`PlanDag`] (or a [`Plan`], via the IR) to a structured
-//! [`OpTrace`].
+//! Lowering a [`PlanDag`] to a structured [`OpTrace`].
 //!
-//! The trace builder is dag-native: [`lower_dag`] /
-//! [`trace_dag_with_accesses`] walk [`PlanDag::nodes`] and synthesize
-//! the event edges from the *dag's* dependency lists — so a mutated dag
-//! (a dropped or rewired edge) lowers to a trace missing exactly that
-//! sync edge, which is what lets the happens-before checker kill
-//! trace-level mutants instead of silently re-deriving the edge from
-//! the pristine plan. The plan-based entry points delegate through
-//! [`PlanDag::from_plan`]:
+//! The trace builder walks [`PlanDag::nodes`] and synthesizes the event
+//! edges from the *dag's* dependency lists — so a mutated dag (a
+//! dropped or rewired edge) lowers to a trace missing exactly that sync
+//! edge, which is what lets the happens-before checker kill trace-level
+//! mutants instead of silently re-deriving the edge from the pristine
+//! plan.
 //!
-//! * [`lower_plan`] emits the *static* trace — what the schedule claims
-//!   it will do, with every op's buffer accesses derived from the
-//!   plan alone. `hetsort analyze` checks this before anything runs.
-//! * [`trace_with_accesses`] emits the *executed* trace — the same
+//! * [`lower_dag`] emits the *static* trace — what the schedule claims
+//!   it will do, with every op's buffer accesses derived from the dag
+//!   alone. `hetsort analyze` checks this before anything runs.
+//! * [`trace_dag_with_accesses`] emits the *executed* trace — the same
 //!   thread/event structure, but with the accesses each
 //!   [`crate::exec_stream::StreamExec`] actually performed substituted
 //!   in. Recovery re-plans (OOM splits, CPU fallbacks) touch different
@@ -24,7 +21,7 @@
 //! a host thread (`total_streams`) for the pair/multiway merges. The
 //! plan's cross-thread dependencies are synthesized as
 //! `EventRecord`/`StreamWaitEvent` pairs — the event id is the producer
-//! step's index — so the happens-before checker sees exactly the sync
+//! node's id — so the happens-before checker sees exactly the sync
 //! edges the executors rely on (stream FIFO order plus the explicit
 //! dependencies), and a mutation that drops one produces a reportable
 //! race instead of a silently-wrong schedule.
@@ -53,7 +50,7 @@
 use hetsort_sim::{Access, Buffer, OpTrace, TraceKind};
 
 use crate::dag::{DagOp, PlanDag};
-use crate::plan::{MergeInput, MergeSrc, Plan, StepKind};
+use crate::plan::{MergeSrc, Plan};
 
 /// Host region id of the input list `A`.
 pub const REGION_A: usize = 0;
@@ -124,124 +121,7 @@ fn src_read(plan: &Plan, src: MergeSrc) -> Access {
     }
 }
 
-/// The buffer accesses step `si` performs on the fault-free GPU path.
-pub fn static_step_accesses(plan: &Plan, si: usize) -> Vec<Access> {
-    // Stream-less data ops get the sentinel lane `total_streams` so
-    // their pinned ids (`3·S ..`) can never alias stream 0's real
-    // staging buffers.
-    let stream = plan.steps[si].stream.unwrap_or(plan.total_streams);
-    let db = plan.config.double_buffered();
-    let elided = plan.stage_out_elided();
-    let pin_in = |chunk: usize| Buffer::Pinned {
-        id: pinned_in_id(stream, if db { chunk % 2 } else { 0 }),
-    };
-    let pin_out = Buffer::Pinned {
-        id: pinned_out_id(plan.asynchronous, stream),
-    };
-    // Single-batch plans stage straight into B; multi-batch into W.
-    let out_region = if plan.nb() > 1 { REGION_W } else { REGION_B };
-    match &plan.steps[si].kind {
-        StepKind::PinnedAlloc { .. } => Vec::new(),
-        StepKind::StageIn {
-            start, len, chunk, ..
-        } => vec![
-            Access::read(Buffer::Host {
-                region: REGION_A,
-                start: *start,
-                len: *len,
-            }),
-            Access::write(pin_in(*chunk)),
-        ],
-        StepKind::HtoD { batch, chunk, .. } => {
-            vec![
-                Access::read(pin_in(*chunk)),
-                Access::write(dev_buf(plan, *batch)),
-            ]
-        }
-        StepKind::GpuSort { batch } => {
-            let d = dev_buf(plan, *batch);
-            vec![Access::read(d), Access::write(d)]
-        }
-        StepKind::DtoH { batch, .. } => {
-            if elided {
-                vec![Access::read(dev_buf(plan, *batch))]
-            } else {
-                vec![Access::read(dev_buf(plan, *batch)), Access::write(pin_out)]
-            }
-        }
-        StepKind::StageOut {
-            batch, start, len, ..
-        } => vec![
-            if elided {
-                Access::read(dev_buf(plan, *batch))
-            } else {
-                Access::read(pin_out)
-            },
-            Access::write(Buffer::Host {
-                region: out_region,
-                start: *start,
-                len: *len,
-            }),
-        ],
-        StepKind::PairMerge { slot } => {
-            let spec = plan.pairs[*slot];
-            vec![
-                src_read(plan, spec.left),
-                src_read(plan, spec.right),
-                Access::write(Buffer::Host {
-                    region: region_pair(plan.total_streams, *slot),
-                    start: 0,
-                    len: spec.out_elems,
-                }),
-            ]
-        }
-        StepKind::MultiwayMerge { inputs } => {
-            let mut acc: Vec<Access> = inputs
-                .iter()
-                .map(|inp| {
-                    src_read(
-                        plan,
-                        match *inp {
-                            MergeInput::Batch(b) => MergeSrc::Batch(b),
-                            MergeInput::Pair(p) => MergeSrc::Merged(p),
-                        },
-                    )
-                })
-                .collect();
-            acc.push(Access::write(Buffer::Host {
-                region: REGION_B,
-                start: 0,
-                len: plan.n,
-            }));
-            acc
-        }
-    }
-}
-
-/// A short label for step `si` (`HtoD b2.c1 (step 17)`).
-pub fn step_label(plan: &Plan, si: usize) -> String {
-    match &plan.steps[si].kind {
-        StepKind::PinnedAlloc { stream, dir_in, .. } => {
-            let way = if *dir_in { "in" } else { "out" };
-            format!("PinnedAlloc {way} s{stream} (step {si})")
-        }
-        StepKind::StageIn { batch, chunk, .. } => format!("StageIn b{batch}.c{chunk} (step {si})"),
-        StepKind::HtoD { batch, chunk, .. } => format!("HtoD b{batch}.c{chunk} (step {si})"),
-        StepKind::GpuSort { batch } => format!("GpuSort b{batch} (step {si})"),
-        StepKind::DtoH { batch, chunk, .. } => format!("DtoH b{batch}.c{chunk} (step {si})"),
-        StepKind::StageOut { batch, chunk, .. } => {
-            format!("StageOut b{batch}.c{chunk} (step {si})")
-        }
-        StepKind::PairMerge { slot } => format!("PairMerge slot {slot} (step {si})"),
-        StepKind::MultiwayMerge { inputs } => {
-            format!("MultiwayMerge k={} (step {si})", inputs.len())
-        }
-    }
-}
-
-/// A short label for dag node `i` (`HtoD b2.c1 (step 17)`). For
-/// planner-lowered dags this matches [`step_label`] exactly; the one
-/// addition is [`DagOp::CpuMerge`], which no plan step spells.
+/// A short label for dag node `i` (`HtoD b2.c1 (step 17)`).
 pub fn dag_node_label(dag: &PlanDag, i: usize) -> String {
     match &dag.nodes[i].op {
         DagOp::PinnedAlloc { stream, dir_in, .. } => {
@@ -262,8 +142,8 @@ pub fn dag_node_label(dag: &PlanDag, i: usize) -> String {
         DagOp::DtoH { batch, chunk, .. } => format!("DtoH b{batch}.c{chunk} (step {i})"),
         DagOp::PairMerge { slot } => format!("PairMerge slot {slot} (step {i})"),
         DagOp::CpuMerge { slot } => format!("CpuMerge slot {slot} (step {i})"),
-        DagOp::MultiwayMerge { inputs } => {
-            format!("MultiwayMerge k={} (step {i})", inputs.len())
+        DagOp::MultiwayMerge => {
+            format!("MultiwayMerge k={} (step {i})", dag.plan.multiway_k())
         }
     }
 }
@@ -274,9 +154,11 @@ pub fn dag_node_label(dag: &PlanDag, i: usize) -> String {
 pub fn dag_node_accesses(dag: &PlanDag, i: usize) -> Vec<Access> {
     let plan = &dag.plan;
     let node = &dag.nodes[i];
-    // Sentinel lane for stream-less data ops — see
-    // [`static_step_accesses`]; `unwrap_or(0)` here would alias stream
-    // 0's pinned buffers and fabricate conflicts in the checker.
+    // Stream-less data ops (which `PlanDag::validate` rejects, but a
+    // hand-built or mutated dag may still be analyzed) get the sentinel
+    // lane `total_streams`, so their pinned ids (`3·S ..`) can never
+    // alias stream 0's real staging buffers and fabricate conflicts in
+    // the checker.
     let stream = node.stream.unwrap_or(plan.total_streams);
     let db = plan.config.double_buffered();
     let elided = plan.stage_out_elided();
@@ -352,18 +234,11 @@ pub fn dag_node_accesses(dag: &PlanDag, i: usize) -> Vec<Access> {
             }
         }
         DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => pair_accesses(*slot),
-        DagOp::MultiwayMerge { inputs } => {
-            let mut acc: Vec<Access> = inputs
+        DagOp::MultiwayMerge => {
+            let mut acc: Vec<Access> = plan
+                .final_inputs
                 .iter()
-                .map(|inp| {
-                    src_read(
-                        plan,
-                        match *inp {
-                            MergeInput::Batch(b) => MergeSrc::Batch(b),
-                            MergeInput::Pair(p) => MergeSrc::Merged(p),
-                        },
-                    )
-                })
+                .map(|&src| src_read(plan, src))
                 .collect();
             acc.push(Access::write(Buffer::Host {
                 region: REGION_B,
@@ -375,27 +250,16 @@ pub fn dag_node_accesses(dag: &PlanDag, i: usize) -> Vec<Access> {
     }
 }
 
-/// Lower the plan to its static trace (fault-free accesses).
-pub fn lower_plan(plan: &Plan) -> OpTrace {
-    trace_with_accesses(plan, &[])
-}
-
 /// Lower a dag to its static trace (fault-free accesses).
 pub fn lower_dag(dag: &PlanDag) -> OpTrace {
     trace_dag_with_accesses(dag, &[])
 }
 
-/// Lower the plan, substituting executed accesses where provided.
+/// Lower a dag, substituting executed accesses where provided.
 ///
-/// `overrides[si] = Some(accesses)` replaces the static access list of
-/// step `si` (data-touching steps only); `None` or a short vector keeps
-/// the static derivation.
-pub fn trace_with_accesses(plan: &Plan, overrides: &[Option<Vec<Access>>]) -> OpTrace {
-    trace_dag_with_accesses(&PlanDag::from_plan(plan.clone()), overrides)
-}
-
-/// Lower a dag, substituting executed accesses where provided. The
-/// event edges come from the *dag's* dependency lists: a dag whose
+/// `overrides[i] = Some(accesses)` replaces the static access list of
+/// node `i` (data-touching nodes only); `None` or a short vector keeps
+/// the static derivation. The event edges come from the *dag's* dependency lists: a dag whose
 /// edges were mutated lowers to a trace missing exactly those sync
 /// edges, which the happens-before checker then reports as a race.
 pub fn trace_dag_with_accesses(dag: &PlanDag, overrides: &[Option<Vec<Access>>]) -> OpTrace {
@@ -535,28 +399,32 @@ mod tests {
         Plan::build(cfg, n).unwrap()
     }
 
+    fn lowered(plan: &Plan) -> OpTrace {
+        lower_dag(&PlanDag::from_plan(plan.clone()))
+    }
+
     #[test]
     fn lowering_covers_every_step() {
-        let p = plan(Approach::PipeMerge, 6000);
-        let tr = lower_plan(&p);
+        let dag = PlanDag::from_plan(plan(Approach::PipeMerge, 6000));
+        let tr = lower_dag(&dag);
         let ops = tr
             .records
             .iter()
             .filter(|r| matches!(r.kind, TraceKind::Op { .. }))
             .count();
-        let allocs = p
-            .steps
+        let allocs = dag
+            .nodes
             .iter()
-            .filter(|s| matches!(s.kind, StepKind::PinnedAlloc { .. }))
+            .filter(|n| matches!(n.op, DagOp::PinnedAlloc { .. }))
             .count();
-        assert_eq!(ops, p.steps.len() - allocs);
-        assert_eq!(tr.n_threads, p.total_streams + 1);
+        assert_eq!(ops, dag.nodes.len() - allocs);
+        assert_eq!(tr.n_threads, dag.plan.total_streams + 1);
     }
 
     #[test]
     fn cross_thread_deps_become_event_edges() {
         let p = plan(Approach::PipeMerge, 6000);
-        let tr = lower_plan(&p);
+        let tr = lowered(&p);
         let recs = tr
             .records
             .iter()
@@ -582,7 +450,6 @@ mod tests {
 
     #[test]
     fn streamless_data_ops_use_sentinel_pinned_lane() {
-        use crate::dag::PlanDag;
         let p = plan(Approach::PipeMerge, 6000);
         let total = p.total_streams;
         let mut dag = PlanDag::from_plan(p);
@@ -616,7 +483,7 @@ mod tests {
     #[test]
     fn bline_stages_straight_into_b() {
         let p = plan(Approach::BLine, 1000);
-        let tr = lower_plan(&p);
+        let tr = lowered(&p);
         assert!(tr.records.iter().any(|r| match &r.kind {
             TraceKind::Op { accesses } => accesses.iter().any(|a| {
                 a.write && matches!(a.buf, Buffer::Host { region, .. } if region == REGION_B)

@@ -1,12 +1,15 @@
-//! The static step DAG of one heterogeneous sort run.
+//! The geometry of one heterogeneous sort run.
 //!
-//! A [`Plan`] encodes, independent of any executor, exactly which
-//! operations the configured approach performs and in what dependency
-//! order: staging copies chunk by chunk through the pinned buffers,
-//! transfers, device sorts, pipelined pair merges, and the final
-//! multiway merge. Both the simulated executor ([`crate::exec_sim`])
-//! and the functional executor ([`crate::exec_real`]) interpret this
-//! same structure, so what we time is what we proved correct.
+//! A [`Plan`] fixes, independent of any executor, *what* the configured
+//! approach works on: the batch tiling of the input and each batch's
+//! stream and GPU, the pipelined pair-merge schedule, the final
+//! multiway merge's inputs, and the pinned staging allocations. The
+//! operations themselves — staging copies chunk by chunk, transfers,
+//! device sorts, merges — and their dependency order live in exactly
+//! one place: the op dag [`crate::dag::PlanDag::from_plan`] lowers from
+//! this geometry. Both the simulated executor ([`crate::exec_sim`]) and
+//! the functional engines ([`crate::dag::exec`]) interpret that dag,
+//! so what we time is what we proved correct.
 //!
 //! Workflows encoded (paper §III-D):
 //!
@@ -35,21 +38,13 @@ pub struct BatchInfo {
     pub gpu: usize,
 }
 
-/// Input of the final multiway merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeInput {
-    /// An unpaired sorted batch resident in `W`.
-    Batch(usize),
-    /// The output of pipelined pair merge slot `p`.
-    Pair(usize),
-}
-
-/// Source of one side of a pipelined two-way merge.
+/// A merge input: one side of a pipelined two-way merge, or one
+/// sublist of the final multiway merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeSrc {
     /// A sorted batch resident in `W`.
     Batch(usize),
-    /// The output of an earlier pair-merge slot.
+    /// The output of a pair-merge slot.
     Merged(usize),
 }
 
@@ -64,98 +59,8 @@ pub struct PairSpec {
     pub out_elems: usize,
 }
 
-/// What a step does.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StepKind {
-    /// Allocate a pinned staging buffer for a stream (`dir_in` selects
-    /// the inbound or outbound buffer).
-    PinnedAlloc {
-        /// Owning stream.
-        stream: usize,
-        /// Buffer size in bytes.
-        bytes: f64,
-        /// Inbound (A→device) or outbound (device→W/B) buffer.
-        dir_in: bool,
-    },
-    /// Copy a chunk of `A` into the stream's inbound pinned buffer.
-    StageIn {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index within the batch.
-        chunk: usize,
-        /// Global element offset of the chunk.
-        start: usize,
-        /// Chunk length in elements.
-        len: usize,
-    },
-    /// DMA the inbound pinned buffer to the device batch buffer.
-    HtoD {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index.
-        chunk: usize,
-        /// Global element offset.
-        start: usize,
-        /// Chunk length.
-        len: usize,
-    },
-    /// Sort the device-resident batch (Thrust stand-in).
-    GpuSort {
-        /// Batch index.
-        batch: usize,
-    },
-    /// DMA a chunk of the sorted batch into the outbound pinned buffer.
-    DtoH {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index.
-        chunk: usize,
-        /// Global element offset.
-        start: usize,
-        /// Chunk length.
-        len: usize,
-    },
-    /// Copy the outbound pinned buffer into `W` (or `B` when n_b = 1).
-    StageOut {
-        /// Batch index.
-        batch: usize,
-        /// Chunk index.
-        chunk: usize,
-        /// Global element offset.
-        start: usize,
-        /// Chunk length.
-        len: usize,
-    },
-    /// Pipelined two-way merge (PIPEMERGE and the rejected strategies);
-    /// inputs and output size live in [`Plan::pairs`] at this slot.
-    PairMerge {
-        /// Index into [`Plan::pairs`].
-        slot: usize,
-    },
-    /// Final multiway merge into `B`.
-    MultiwayMerge {
-        /// Sublists merged.
-        inputs: Vec<MergeInput>,
-    },
-}
-
-/// One step plus its explicit dependencies (indices into
-/// [`Plan::steps`]; always backward).
-#[derive(Debug, Clone)]
-pub struct Step {
-    /// The operation.
-    pub kind: StepKind,
-    /// Indices of steps that must complete first. Intra-stream FIFO
-    /// ordering is *also* encoded here (dependency on the previous step
-    /// of the same stream), so executors need no queue support.
-    pub deps: Vec<usize>,
-    /// Stream this step is submitted to, if any (transfers and staging
-    /// copies; merges and the blocking approaches' host ops included —
-    /// blocking approaches use stream 0 as "the default stream").
-    pub stream: Option<usize>,
-}
-
-/// The full static DAG.
+/// The static geometry of one run; [`crate::dag::PlanDag::from_plan`]
+/// lowers it to the op dag the engines execute.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Configuration the plan was built from.
@@ -166,8 +71,9 @@ pub struct Plan {
     pub batches: Vec<BatchInfo>,
     /// Pipelined two-way merges (inputs + output sizes per slot).
     pub pairs: Vec<PairSpec>,
-    /// Steps in submission (topological) order.
-    pub steps: Vec<Step>,
+    /// Inputs of the final multiway merge (empty when n_b = 1: the
+    /// single batch stages straight into `B`).
+    pub final_inputs: Vec<MergeSrc>,
     /// Total streams (`n_s · n_GPU` for piped approaches, 1 otherwise).
     pub total_streams: usize,
     /// Whether transfers are asynchronous chunked copies (piped).
@@ -261,19 +167,35 @@ impl Plan {
 
     /// The final multiway merge's input count `k` (0 when n_b = 1).
     pub fn multiway_k(&self) -> usize {
-        self.steps
-            .iter()
-            .rev()
-            .find_map(|s| match &s.kind {
-                StepKind::MultiwayMerge { inputs } => Some(inputs.len()),
-                _ => None,
-            })
-            .unwrap_or(0)
+        self.final_inputs.len()
     }
 
-    /// Sanity-check internal invariants (used heavily by tests):
-    /// deps point backward, chunks tile batches exactly, pair merges
-    /// reference distinct batches, merge inputs cover all batches once.
+    /// The pinned staging allocations as `(stream, bytes, dir_in)`, in
+    /// emission order: one buffer per stream for blocking plans (reused
+    /// both ways, as in §IV-E's reproduction), an inbound and an
+    /// outbound buffer per stream for piped plans. Double-buffered
+    /// staging doubles the inbound buffer: two parity-selected halves
+    /// share one allocation, so the count per stream is unchanged.
+    pub fn pinned_allocs(&self) -> impl Iterator<Item = (usize, f64, bool)> {
+        let ps_bytes = self.config.elem_bytes * self.config.pinned_elems as f64;
+        let in_bytes = self.staging_halves() as f64 * ps_bytes;
+        let dirs: &'static [bool] = if self.asynchronous {
+            &[true, false]
+        } else {
+            &[true]
+        };
+        (0..self.total_streams).flat_map(move |s| {
+            dirs.iter()
+                .map(move |&dir_in| (s, if dir_in { in_bytes } else { ps_bytes }, dir_in))
+        })
+    }
+
+    /// Sanity-check the geometry (used heavily by tests): the device
+    /// map is a permutation, every batch and pair slot reaches the
+    /// final merge exactly once, and slot output sizes add up. Chunk
+    /// tiling and dependency order belong to the lowered dag
+    /// ([`crate::dag::PlanDag::validate`]'s `chunk-cover` and `cycle`
+    /// rules).
     pub fn check_invariants(&self) -> Result<(), HetSortError> {
         let plan_err = |reason: String| HetSortError::Plan { reason };
         // The device map must cover every plan-local GPU index exactly
@@ -294,28 +216,6 @@ impl Plan {
                 "device map {:?} repeats a device",
                 self.device_ids
             )));
-        }
-        for (i, s) in self.steps.iter().enumerate() {
-            for &d in &s.deps {
-                if d >= i {
-                    return Err(plan_err(format!("step {i} depends forward on {d}")));
-                }
-            }
-        }
-        // Chunk tiling.
-        let mut covered = vec![0usize; self.nb()];
-        for s in &self.steps {
-            if let StepKind::StageIn { batch, len, .. } = s.kind {
-                covered[batch] += len;
-            }
-        }
-        for b in &self.batches {
-            if covered[b.index] != b.len {
-                return Err(plan_err(format!(
-                    "batch {} stages {} of {} elements",
-                    b.index, covered[b.index], b.len
-                )));
-            }
         }
         // Merge coverage: resolving pair slots recursively, every batch
         // must reach the final merge exactly once, every slot must be
@@ -348,16 +248,8 @@ impl Plan {
                 }
                 Ok(())
             };
-            for s in &self.steps {
-                if let StepKind::MultiwayMerge { inputs } = &s.kind {
-                    for inp in inputs {
-                        let src = match *inp {
-                            MergeInput::Batch(b) => MergeSrc::Batch(b),
-                            MergeInput::Pair(p) => MergeSrc::Merged(p),
-                        };
-                        visit_src(src, &mut batch_seen, &mut slot_seen)?;
-                    }
-                }
+            for &src in &self.final_inputs {
+                visit_src(src, &mut batch_seen, &mut slot_seen)?;
             }
             if !batch_seen.iter().all(|&x| x) {
                 return Err(plan_err("some batch missing from the final merge".into()));
@@ -384,6 +276,7 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::config::Approach;
+    use crate::dag::{DagOp, PlanDag};
     use hetsort_vgpu::{platform1, platform2};
 
     fn cfg(approach: Approach) -> HetSortConfig {
@@ -399,10 +292,10 @@ mod tests {
         assert_eq!(plan.nb(), 1);
         assert_eq!(plan.total_streams, 1);
         assert!(!plan.asynchronous);
-        // 1 alloc + 4 chunks × (StageIn + HtoD) + sort + 4 × (DtoH + StageOut).
-        assert_eq!(plan.steps.len(), 1 + 4 * 2 + 1 + 4 * 2);
         assert_eq!(plan.multiway_k(), 0);
         assert!(plan.pairs.is_empty());
+        // 1 alloc + 4 chunks × (StageIn + HtoD) + sort + 4 × (DtoH + StageOut).
+        assert_eq!(PlanDag::from_plan(plan).nodes.len(), 1 + 4 * 2 + 1 + 4 * 2);
     }
 
     #[test]
@@ -491,11 +384,16 @@ mod tests {
         assert_eq!(plan.nb(), 3);
         assert_eq!(plan.batches[2].len, 345);
         // Last chunk of last batch is short too.
-        let lens: Vec<usize> = plan
-            .steps
+        let lens: Vec<usize> = PlanDag::from_plan(plan)
+            .nodes
             .iter()
-            .filter_map(|s| match s.kind {
-                StepKind::StageIn { batch: 2, len, .. } => Some(len),
+            .filter_map(|s| match s.op {
+                DagOp::StagingCopy {
+                    batch: 2,
+                    len,
+                    dir_in: true,
+                    ..
+                } => Some(len),
                 _ => None,
             })
             .collect();
@@ -555,13 +453,15 @@ mod tests {
         // Paper staging: every step in a stream (except the first)
         // depends on the previous step of that stream — one total FIFO.
         use crate::config::StagingMode;
-        let plan = Plan::build(
-            cfg(Approach::PipeData).with_staging(StagingMode::Paper),
-            2000,
-        )
-        .unwrap();
-        let mut last: Vec<Option<usize>> = vec![None; plan.total_streams];
-        for (i, s) in plan.steps.iter().enumerate() {
+        let dag = PlanDag::from_plan(
+            Plan::build(
+                cfg(Approach::PipeData).with_staging(StagingMode::Paper),
+                2000,
+            )
+            .unwrap(),
+        );
+        let mut last: Vec<Option<usize>> = vec![None; dag.plan.total_streams];
+        for (i, s) in dag.nodes.iter().enumerate() {
             if let Some(st) = s.stream {
                 if let Some(prev) = last[st] {
                     assert!(
@@ -580,16 +480,17 @@ mod tests {
         // (allocs + staging copies) and a device lane (HtoD/sort/DtoH);
         // chaining holds per lane, and the cross edges HtoD←StageIn and
         // StageOut←DtoH are explicit.
-        let plan = Plan::build(cfg(Approach::PipeData), 2000).unwrap();
+        let dag = PlanDag::from_plan(Plan::build(cfg(Approach::PipeData), 2000).unwrap());
+        let plan = &dag.plan;
         assert!(plan.config.double_buffered());
         assert!(!plan.stage_out_elided(), "piped plans keep the bounce");
         let mut host: Vec<Option<usize>> = vec![None; plan.total_streams];
         let mut dev: Vec<Option<usize>> = vec![None; plan.total_streams];
-        for (i, s) in plan.steps.iter().enumerate() {
+        for (i, s) in dag.nodes.iter().enumerate() {
             let Some(st) = s.stream else { continue };
             let dev_lane = matches!(
-                s.kind,
-                StepKind::HtoD { .. } | StepKind::GpuSort { .. } | StepKind::DtoH { .. }
+                s.op,
+                DagOp::HtoD { .. } | DagOp::Sort { .. } | DagOp::DtoH { .. }
             );
             let tail = if dev_lane {
                 &mut dev[st]
@@ -605,25 +506,30 @@ mod tests {
             *tail = Some(i);
         }
         // Cross edges: each HtoD names its StageIn, each StageOut its DtoH.
-        for (i, s) in plan.steps.iter().enumerate() {
-            match s.kind {
-                StepKind::HtoD { batch, chunk, .. } => {
-                    let si = plan
-                        .steps
+        for (i, s) in dag.nodes.iter().enumerate() {
+            match s.op {
+                DagOp::HtoD { batch, chunk, .. } => {
+                    let si = dag
+                        .nodes
                         .iter()
                         .position(|t| {
-                            matches!(t.kind, StepKind::StageIn { batch: b, chunk: c, .. }
+                            matches!(t.op, DagOp::StagingCopy { batch: b, chunk: c, dir_in: true, .. }
                                 if b == batch && c == chunk)
                         })
                         .unwrap();
                     assert!(s.deps.contains(&si), "HtoD {i} missing StageIn dep");
                 }
-                StepKind::StageOut { batch, chunk, .. } => {
-                    let d = plan
-                        .steps
+                DagOp::StagingCopy {
+                    batch,
+                    chunk,
+                    dir_in: false,
+                    ..
+                } => {
+                    let d = dag
+                        .nodes
                         .iter()
                         .position(|t| {
-                            matches!(t.kind, StepKind::DtoH { batch: b, chunk: c, .. }
+                            matches!(t.op, DagOp::DtoH { batch: b, chunk: c, .. }
                                 if b == batch && c == chunk)
                         })
                         .unwrap();

@@ -1,27 +1,34 @@
-//! Plan builders: each paper approach as a plan-construction strategy.
+//! Plan builders: each paper approach as geometry plus one lowering.
 //!
-//! The four approaches (§III-D) share one lowering pipeline — batch
-//! geometry, the pipelined pair-merge schedule, and FIFO step emission —
-//! and differ only in what they ask of it: blocking approaches stage
-//! through one pinned buffer per host thread with synchronous
-//! transfers, piped approaches run `n_s` streams per GPU with separate
-//! in/out pinned buffers and asynchronous chunked transfers, and
-//! PIPEMERGE additionally schedules pair merges. [`build`] dispatches to
-//! the named builder; [`build_dag`] lowers straight to the [`PlanDag`]
-//! IR the engines execute.
+//! The four approaches (§III-D) share one pipeline — batch geometry,
+//! the pipelined pair-merge schedule, and FIFO op emission — and differ
+//! only in what they ask of it: blocking approaches stage through one
+//! pinned buffer per host thread with synchronous transfers, piped
+//! approaches run `n_s` streams per GPU with separate in/out pinned
+//! buffers and asynchronous chunked transfers, and PIPEMERGE
+//! additionally schedules pair merges. [`build`] computes the geometry
+//! ([`Plan`]); `lower` — reached through
+//! [`PlanDag::from_plan`](crate::dag::PlanDag::from_plan), the only
+//! lowering — emits the op dag the engines execute; [`build_dag`] does
+//! both.
 //!
-//! Every builder produces bit-identical output to the monolithic
-//! `Plan::build` this module replaced (the step list is byte-for-byte
-//! the same construction), which is what keeps the DAG engine's
-//! differential suite meaningful.
+//! Node ids are emission order. Fault-injection occurrence counters,
+//! `(step i)` trace labels and span labels are keyed by it, so the
+//! emission order is part of the contract.
 
-use crate::config::{Approach, HetSortConfig, PairStrategy};
-use crate::dag::PlanDag;
+use hetsort_vgpu::calib::amdahl_speedup;
+
+use crate::config::{HetSortConfig, HybridMode, PairStrategy};
+use crate::dag::{DagNode, DagOp, PlanDag};
 use crate::error::HetSortError;
-use crate::plan::{BatchInfo, MergeInput, MergeSrc, PairSpec, Plan, Step, StepKind};
+use crate::plan::{BatchInfo, MergeSrc, PairSpec, Plan};
 
-/// Build the plan for sorting `n` elements under `config`, dispatching
-/// to the approach's builder.
+/// Build the plan geometry for sorting `n` elements under `config`.
+/// Blocking approaches (BLINE §III-D1, BLINEMULTI §III-D2) and piped
+/// ones (PIPEDATA/PIPEMERGE §III-D3) differ only in the staging
+/// discipline [`Plan::asynchronous`] records; the merge schedule comes
+/// from `pair_schedule`, shared because the rejected Online/MergeTree
+/// strategies apply to any multi-batch approach.
 ///
 /// # Errors
 ///
@@ -29,12 +36,19 @@ use crate::plan::{BatchInfo, MergeInput, MergeSrc, PairSpec, Plan, Step, StepKin
 /// ([`HetSortError::Config`]).
 pub fn build(config: HetSortConfig, n: usize) -> Result<Plan, HetSortError> {
     config.validate(n)?;
-    match config.approach {
-        Approach::BLine => bline(config, n),
-        Approach::BLineMulti => bline_multi(config, n),
-        Approach::PipeData => pipe_data(config, n),
-        Approach::PipeMerge => pipe_merge(config, n),
-    }
+    let (nb, ngpu, total_streams, batches) = geometry(&config, n);
+    let (pairs, final_inputs) = pair_schedule(&config, n, nb);
+    let asynchronous = config.approach.is_piped();
+    Ok(Plan {
+        config,
+        n,
+        batches,
+        pairs,
+        final_inputs,
+        total_streams,
+        asynchronous,
+        device_ids: (0..ngpu).collect(),
+    })
 }
 
 /// Build and lower in one step: the [`PlanDag`] the engines execute.
@@ -44,31 +58,6 @@ pub fn build(config: HetSortConfig, n: usize) -> Result<Plan, HetSortError> {
 /// As [`build`].
 pub fn build_dag(config: HetSortConfig, n: usize) -> Result<PlanDag, HetSortError> {
     Ok(PlanDag::from_plan(build(config, n)?))
-}
-
-/// BLINE (§III-D1): one batch, one blocking staging buffer, no merge.
-fn bline(config: HetSortConfig, n: usize) -> Result<Plan, HetSortError> {
-    lower(config, n, false)
-}
-
-/// BLINEMULTI (§III-D2): blocking batches into `W`, one final multiway
-/// merge.
-fn bline_multi(config: HetSortConfig, n: usize) -> Result<Plan, HetSortError> {
-    lower(config, n, false)
-}
-
-/// PIPEDATA (§III-D3): `n_s` streams per GPU, chunked asynchronous
-/// transfers through per-stream in/out pinned buffers.
-fn pipe_data(config: HetSortConfig, n: usize) -> Result<Plan, HetSortError> {
-    lower(config, n, true)
-}
-
-/// PIPEMERGE (§III-D3): PIPEDATA plus pair merges pipelined against the
-/// remaining batches (the schedule itself comes from
-/// [`pair_schedule`], shared because the rejected Online/MergeTree
-/// strategies apply to any multi-batch approach).
-fn pipe_merge(config: HetSortConfig, n: usize) -> Result<Plan, HetSortError> {
-    lower(config, n, true)
 }
 
 /// Batch geometry: round-robin stream and GPU assignment.
@@ -106,7 +95,7 @@ fn geometry(config: &HetSortConfig, n: usize) -> (usize, usize, usize, Vec<Batch
 
 /// The pipelined merge schedule under the configured strategy: pair
 /// specs plus the final multiway merge's inputs.
-fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>, Vec<MergeInput>) {
+fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>, Vec<MergeSrc>) {
     let bs = config.batch_elems;
     let batch_len = |b: usize| bs.min(n - b * bs);
     match (nb > 1, config.pair_strategy) {
@@ -120,8 +109,8 @@ fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>,
                     out_elems: batch_len(2 * p) + batch_len(2 * p + 1),
                 })
                 .collect();
-            let mut inputs: Vec<MergeInput> = (0..npairs).map(MergeInput::Pair).collect();
-            inputs.extend((2 * npairs..nb).map(MergeInput::Batch));
+            let mut inputs: Vec<MergeSrc> = (0..npairs).map(MergeSrc::Merged).collect();
+            inputs.extend((2 * npairs..nb).map(MergeSrc::Batch));
             (pairs, inputs)
         }
         (true, PairStrategy::Online) => {
@@ -140,7 +129,7 @@ fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>,
                 });
                 acc = MergeSrc::Merged(pairs.len() - 1);
             }
-            (pairs, vec![MergeInput::Pair(nb - 2)])
+            (pairs, vec![MergeSrc::Merged(nb - 2)])
         }
         (true, PairStrategy::MergeTree) => {
             // Rejected strategy (§III-D3): a full binary merge tree;
@@ -168,169 +157,196 @@ fn pair_schedule(config: &HetSortConfig, n: usize, nb: usize) -> (Vec<PairSpec>,
                 }
                 level = next;
             }
-            let root = match level[0].0 {
-                MergeSrc::Merged(slot) => MergeInput::Pair(slot),
-                MergeSrc::Batch(b) => MergeInput::Batch(b),
-            };
-            (pairs, vec![root])
+            (pairs, vec![level[0].0])
         }
     }
 }
 
-/// The shared lowering: geometry + merge schedule + FIFO step emission.
-/// `piped` selects the staging discipline (separate in/out pinned
-/// buffers and asynchronous chunked transfers vs one blocking buffer).
-fn lower(config: HetSortConfig, n: usize, piped: bool) -> Result<Plan, HetSortError> {
-    let (nb, ngpu, total_streams, batches) = geometry(&config, n);
-    let (pairs, final_inputs) = pair_schedule(&config, n, nb);
-    let db = config.double_buffered();
+/// Which pair-merge slots hybrid lowering routes to the CPU merge
+/// resource, per [`HybridMode`].
+///
+/// * [`HybridMode::Fraction`] routes the *last* `round(frac · slots)`
+///   slots: later slots consume later batches and therefore contend
+///   with the multiway-merge warm-up, where the spare full merge pool
+///   helps most.
+/// * [`HybridMode::Auto`] is deterministic greedy earliest-finish
+///   scheduling between the pair-merge pool and the full CPU merge
+///   pool, using the platform's calibrated merge throughput under
+///   Amdahl scaling; each pool's accumulated predicted busy time is
+///   the queue-depth proxy.
+fn hybrid_cpu_slots(plan: &Plan) -> Vec<bool> {
+    let n_slots = plan.pairs.len();
+    let mut cpu = vec![false; n_slots];
+    match plan.config.hybrid {
+        HybridMode::Off => {}
+        HybridMode::Fraction(f) => {
+            let f = f.clamp(0.0, 1.0);
+            let k = ((f * n_slots as f64).round() as usize).min(n_slots);
+            for flag in cpu.iter_mut().skip(n_slots - k) {
+                *flag = true;
+            }
+        }
+        HybridMode::Auto => {
+            let cfg = &plan.config;
+            let cpu_model = &cfg.platform.cpu;
+            let per_core = 1e9 / cpu_model.merge_ns_per_elem_core;
+            // The pair lane runs at the thread count the executors and
+            // simulator actually grant pipelined merges; the CPU lane
+            // gets the full multiway pool.
+            let pair_threads = if cfg.pair_strategy == PairStrategy::PaperHeuristic {
+                cfg.pair_merge_threads_eff()
+            } else {
+                cfg.merge_threads_eff()
+            };
+            let cap_pair = amdahl_speedup(
+                cpu_model.merge_parallel_fraction,
+                pair_threads.max(1) as usize,
+            ) * per_core;
+            let cap_cpu = amdahl_speedup(
+                cpu_model.merge_parallel_fraction,
+                cfg.merge_threads_eff().max(1) as usize,
+            ) * per_core;
+            let (mut busy_pair, mut busy_cpu) = (0.0f64, 0.0f64);
+            for (slot, spec) in plan.pairs.iter().enumerate() {
+                let t_pair = busy_pair + spec.out_elems as f64 / cap_pair;
+                let t_cpu = busy_cpu + spec.out_elems as f64 / cap_cpu;
+                // Ties keep the default lane, so Auto degrades to Off
+                // when the pools are indistinguishable.
+                if t_cpu < t_pair {
+                    cpu[slot] = true;
+                    busy_cpu = t_cpu;
+                } else {
+                    busy_pair = t_pair;
+                }
+            }
+        }
+    }
+    cpu
+}
+
+/// Node emission with per-stream FIFO tails.
+///
+/// The paper shape serializes every op of a stream on one tail;
+/// double-buffered staging splits each stream into a host lane (pinned
+/// allocs + staging copies) and a device lane (HtoD, sort, DtoH) so the
+/// host→pinned bounce of chunk c overlaps the DMA of chunk c−1.
+/// Buffer-reuse hazards that the single tail made implicit become
+/// explicit edges in [`lower`] (and the validator's `fifo` rule demands
+/// exactly this discipline).
+struct Emitter {
+    nodes: Vec<DagNode>,
+    host_tail: Vec<Option<usize>>,
+    dev_tail: Vec<Option<usize>>,
+    double_buffered: bool,
+}
+
+impl Emitter {
+    /// Append `op` with its explicit deps plus the FIFO dep on its
+    /// lane's tail, deduplicated (an explicit dep may coincide with the
+    /// FIFO dep), so every edge is load-bearing — which is what makes
+    /// "any single edge deletion is rejected" a theorem the property
+    /// suite can test.
+    fn push(&mut self, op: DagOp, explicit: &[usize], stream: Option<usize>) -> usize {
+        let id = self.nodes.len();
+        let mut deps: Vec<usize> = Vec::with_capacity(explicit.len() + 1);
+        let mut add = |d: usize| {
+            if !deps.contains(&d) {
+                deps.push(d);
+            }
+        };
+        explicit.iter().for_each(|&d| add(d));
+        if let Some(s) = stream {
+            let dev_lane = matches!(
+                op,
+                DagOp::HtoD { .. } | DagOp::Sort { .. } | DagOp::DtoH { .. }
+            );
+            let tail = if self.double_buffered && dev_lane {
+                &mut self.dev_tail[s]
+            } else {
+                &mut self.host_tail[s]
+            };
+            if let Some(prev) = tail.replace(id) {
+                add(prev);
+            }
+        }
+        self.nodes.push(DagNode { op, deps, stream });
+        id
+    }
+}
+
+/// The one lowering: the plan's ops in FIFO emission order with their
+/// dependency edges — pinned allocations, then per batch the chunked
+/// stage-in/HtoD, the sort and the chunked DtoH/stage-out, then the
+/// pipelined pair merges and the final multiway merge. Pair slots the
+/// configured [`HybridMode`] routes to the host are emitted as
+/// [`DagOp::CpuMerge`]; the routing depends only on the plan, so every
+/// consumer (both functional engines, the simulator, the bench gate,
+/// the service) interprets the identical hybrid dag.
+pub(crate) fn lower(plan: &Plan) -> Vec<DagNode> {
+    let total_streams = plan.total_streams;
+    let db = plan.config.double_buffered();
     // Blocking + double-buffered: the sorted batch is still
     // device-resident when it is written out, so the outbound pinned
     // bounce is elided — `DtoH` carries the (pageable) device→host cost
     // and `StageOut` becomes the zero-byte marker where the chunk is
     // emitted straight from device memory.
-    let elided = db && !piped;
-
-    let mut steps: Vec<Step> = Vec::new();
-    // FIFO tails. The paper shape serializes every step of a stream on
-    // one tail; double-buffered staging splits each stream into a host
-    // lane (pinned allocs + staging copies) and a device lane (HtoD,
-    // sort, DtoH) so the host→pinned bounce of chunk c overlaps the
-    // DMA of chunk c−1. Buffer-reuse hazards that the single tail made
-    // implicit become explicit edges below (and the validator's `fifo`
-    // rule demands exactly this discipline).
-    let mut host_tail: Vec<Option<usize>> = vec![None; total_streams];
-    let mut dev_tail: Vec<Option<usize>> = vec![None; total_streams];
-    let push = |steps: &mut Vec<Step>,
-                host_tail: &mut Vec<Option<usize>>,
-                dev_tail: &mut Vec<Option<usize>>,
-                kind: StepKind,
-                mut deps: Vec<usize>,
-                stream: Option<usize>,
-                dev_lane: bool| {
-        if let Some(s) = stream {
-            let tail = if db && dev_lane {
-                &mut dev_tail[s]
-            } else {
-                &mut host_tail[s]
-            };
-            if let Some(prev) = *tail {
-                deps.push(prev);
-            }
-            let idx = steps.len();
-            steps.push(Step { kind, deps, stream });
-            *tail = Some(idx);
-            return idx;
-        }
-        let idx = steps.len();
-        steps.push(Step { kind, deps, stream });
-        idx
+    let elided = plan.stage_out_elided();
+    let mut e = Emitter {
+        nodes: Vec::new(),
+        host_tail: vec![None; total_streams],
+        dev_tail: vec![None; total_streams],
+        double_buffered: db,
     };
 
-    // 1. Pinned allocations: one buffer for blocking approaches
-    //    (reused in both directions, as in §IV-E's reproduction),
-    //    two per stream (in + out) for piped approaches.
-    let ps_bytes = config.elem_bytes * config.pinned_elems as f64;
-    // Double-buffered staging doubles the *inbound* buffer: two
-    // parity-selected halves share one allocation (one producer key, so
-    // the alloc count per stream is unchanged either way).
-    let in_bytes = if db { 2.0 * ps_bytes } else { ps_bytes };
-    if piped {
-        for s in 0..total_streams {
-            push(
-                &mut steps,
-                &mut host_tail,
-                &mut dev_tail,
-                StepKind::PinnedAlloc {
-                    stream: s,
-                    bytes: in_bytes,
-                    dir_in: true,
-                },
-                vec![],
-                Some(s),
-                false,
-            );
-            push(
-                &mut steps,
-                &mut host_tail,
-                &mut dev_tail,
-                StepKind::PinnedAlloc {
-                    stream: s,
-                    bytes: ps_bytes,
-                    dir_in: false,
-                },
-                vec![],
-                Some(s),
-                false,
-            );
-        }
-    } else {
-        // Blocking approaches reuse one staging buffer per host thread
-        // for both directions (as in the §IV-E reproduction); elided
-        // stage-out never bounces outbound at all, so the inbound
-        // halves are the whole pinned footprint.
-        for s in 0..total_streams {
-            push(
-                &mut steps,
-                &mut host_tail,
-                &mut dev_tail,
-                StepKind::PinnedAlloc {
-                    stream: s,
-                    bytes: in_bytes,
-                    dir_in: true,
-                },
-                vec![],
-                Some(s),
-                false,
-            );
-        }
+    // 1. Pinned allocations.
+    for (stream, bytes, dir_in) in plan.pinned_allocs() {
+        e.push(
+            DagOp::PinnedAlloc {
+                stream,
+                bytes,
+                dir_in,
+            },
+            &[],
+            Some(stream),
+        );
     }
 
     // 2. Per batch: chunked stage-in/HtoD, sort, chunked DtoH/
     //    stage-out, all FIFO within the batch's stream.
-    let ps = config.pinned_elems;
-    let mut last_stage_out: Vec<usize> = vec![0; nb];
+    let ps = plan.config.pinned_elems;
+    let mut last_stage_out: Vec<usize> = vec![0; plan.nb()];
     // Per stream: the previous batch's last HtoD and StageOut, for the
     // explicit buffer-reuse edges of the double-buffered discipline.
     let mut prev_htod: Vec<Option<usize>> = vec![None; total_streams];
     let mut prev_sout: Vec<Option<usize>> = vec![None; total_streams];
-    for b in &batches {
+    for b in &plan.batches {
         let s = b.stream;
         let stream = Some(s);
         let nchunks = b.len.div_ceil(ps);
         let mut htods: Vec<usize> = Vec::with_capacity(nchunks);
-        // A batch always has ≥ 1 chunk, so the loop below assigns this.
-        let mut last_htod = 0;
         let mut souts: Vec<usize> = Vec::with_capacity(nchunks);
         for c in 0..nchunks {
-            let cstart = b.start + c * ps;
-            let clen = ps.min(b.start + b.len - cstart);
+            let start = b.start + c * ps;
+            let len = ps.min(b.start + b.len - start);
             // Double-buffered: the half chunk c overwrites (parity
             // c % 2) was last read by HtoD(c−2); the first chunk of a
             // later batch waits for the previous batch's last HtoD.
-            let mut si_deps = Vec::new();
-            if db {
-                if c >= 2 {
-                    si_deps.push(htods[c - 2]);
-                } else if c == 0 {
-                    if let Some(h) = prev_htod[s] {
-                        si_deps.push(h);
-                    }
-                }
-            }
-            let si = push(
-                &mut steps,
-                &mut host_tail,
-                &mut dev_tail,
-                StepKind::StageIn {
+            let si_deps: Option<usize> = match c {
+                _ if !db => None,
+                0 => prev_htod[s],
+                1 => None,
+                _ => Some(htods[c - 2]),
+            };
+            let si = e.push(
+                DagOp::StagingCopy {
                     batch: b.index,
                     chunk: c,
-                    start: cstart,
-                    len: clen,
+                    start,
+                    len,
+                    dir_in: true,
                 },
-                si_deps,
+                si_deps.as_slice(),
                 stream,
-                false,
             );
             // The DMA waits for its staging copy (explicit under the
             // two-lane discipline; the single tail implies it in the
@@ -341,81 +357,56 @@ fn lower(config: HetSortConfig, n: usize, piped: bool) -> Result<Plan, HetSortEr
             if db {
                 h_deps.push(si);
                 if elided && c == 0 {
-                    if let Some(m) = prev_sout[s] {
-                        h_deps.push(m);
-                    }
+                    h_deps.extend(prev_sout[s]);
                 }
             }
-            let h = push(
-                &mut steps,
-                &mut host_tail,
-                &mut dev_tail,
-                StepKind::HtoD {
+            htods.push(e.push(
+                DagOp::HtoD {
                     batch: b.index,
                     chunk: c,
-                    start: cstart,
-                    len: clen,
+                    start,
+                    len,
                 },
-                h_deps,
+                &h_deps,
                 stream,
-                true,
-            );
-            htods.push(h);
-            last_htod = h;
+            ));
         }
-        let sort = push(
-            &mut steps,
-            &mut host_tail,
-            &mut dev_tail,
-            StepKind::GpuSort { batch: b.index },
-            vec![last_htod],
-            stream,
-            true,
-        );
-        let mut prev = sort;
+        // A batch always has ≥ 1 chunk.
+        let last_htod = htods[nchunks - 1];
+        let mut prev = e.push(DagOp::Sort { batch: b.index }, &[last_htod], stream);
         for c in 0..nchunks {
-            let cstart = b.start + c * ps;
-            let clen = ps.min(b.start + b.len - cstart);
+            let start = b.start + c * ps;
+            let len = ps.min(b.start + b.len - start);
             // Bounced stage-out reuses one outbound pinned buffer: the
             // DMA of chunk c overwrites what StageOut(c−1) read (or, at
             // a batch boundary, what the previous batch's last StageOut
             // read). Elided mode has no outbound buffer to protect.
-            let mut d_deps = Vec::new();
-            if db && !elided {
-                if c >= 1 {
-                    d_deps.push(souts[c - 1]);
-                } else if let Some(o) = prev_sout[s] {
-                    d_deps.push(o);
-                }
-            }
-            let d = push(
-                &mut steps,
-                &mut host_tail,
-                &mut dev_tail,
-                StepKind::DtoH {
+            let d_deps: Option<usize> = match c {
+                _ if !db || elided => None,
+                0 => prev_sout[s],
+                _ => Some(souts[c - 1]),
+            };
+            let d = e.push(
+                DagOp::DtoH {
                     batch: b.index,
                     chunk: c,
-                    start: cstart,
-                    len: clen,
+                    start,
+                    len,
                 },
-                d_deps,
+                d_deps.as_slice(),
                 stream,
-                true,
             );
-            let so_deps = if db { vec![d] } else { vec![] };
-            prev = push(
-                &mut steps,
-                &mut host_tail,
-                &mut dev_tail,
-                StepKind::StageOut {
+            let so_deps: &[usize] = if db { &[d] } else { &[] };
+            prev = e.push(
+                DagOp::StagingCopy {
                     batch: b.index,
                     chunk: c,
-                    start: cstart,
-                    len: clen,
+                    start,
+                    len,
+                    dir_in: false,
                 },
                 so_deps,
                 stream,
-                false,
             );
             souts.push(prev);
         }
@@ -425,65 +416,41 @@ fn lower(config: HetSortConfig, n: usize, piped: bool) -> Result<Plan, HetSortEr
     }
 
     // 3. Pipelined two-way merges: ready when both inputs exist.
-    let mut pair_steps: Vec<usize> = Vec::with_capacity(pairs.len());
-    let src_dep = |src: MergeSrc, pair_steps: &Vec<usize>| match src {
+    let cpu = hybrid_cpu_slots(plan);
+    let mut pair_nodes: Vec<usize> = Vec::with_capacity(plan.pairs.len());
+    let producer = |src: MergeSrc, pair_nodes: &[usize]| match src {
         MergeSrc::Batch(b) => last_stage_out[b],
-        MergeSrc::Merged(slot) => pair_steps[slot],
+        MergeSrc::Merged(slot) => pair_nodes[slot],
     };
-    for (slot, spec) in pairs.iter().enumerate() {
-        let deps = vec![
-            src_dep(spec.left, &pair_steps),
-            src_dep(spec.right, &pair_steps),
+    for (slot, spec) in plan.pairs.iter().enumerate() {
+        let deps = [
+            producer(spec.left, &pair_nodes),
+            producer(spec.right, &pair_nodes),
         ];
-        let idx = push(
-            &mut steps,
-            &mut host_tail,
-            &mut dev_tail,
-            StepKind::PairMerge { slot },
-            deps,
-            None,
-            false,
-        );
-        pair_steps.push(idx);
+        let op = if cpu[slot] {
+            DagOp::CpuMerge { slot }
+        } else {
+            DagOp::PairMerge { slot }
+        };
+        pair_nodes.push(e.push(op, &deps, None));
     }
 
     // 4. Final multiway merge (absent when n_b = 1: StageOut wrote B).
-    if nb > 1 {
-        let deps: Vec<usize> = final_inputs
+    if plan.nb() > 1 {
+        let deps: Vec<usize> = plan
+            .final_inputs
             .iter()
-            .map(|inp| match *inp {
-                MergeInput::Batch(b) => last_stage_out[b],
-                MergeInput::Pair(slot) => pair_steps[slot],
-            })
+            .map(|&src| producer(src, &pair_nodes))
             .collect();
-        push(
-            &mut steps,
-            &mut host_tail,
-            &mut dev_tail,
-            StepKind::MultiwayMerge {
-                inputs: final_inputs,
-            },
-            deps,
-            None,
-            false,
-        );
+        e.push(DagOp::MultiwayMerge, &deps, None);
     }
-
-    Ok(Plan {
-        config,
-        n,
-        batches,
-        pairs,
-        steps,
-        total_streams,
-        asynchronous: piped,
-        device_ids: (0..ngpu).collect(),
-    })
+    e.nodes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Approach;
     use hetsort_vgpu::{platform1, platform2};
 
     fn cfg(approach: Approach) -> HetSortConfig {
@@ -514,9 +481,9 @@ mod tests {
         let blocking = build(cfg(Approach::BLineMulti), 5000).unwrap();
         let piped = build(cfg(Approach::PipeData), 5000).unwrap();
         let allocs = |p: &Plan| {
-            p.steps
+            lower(p)
                 .iter()
-                .filter(|s| matches!(s.kind, StepKind::PinnedAlloc { .. }))
+                .filter(|n| matches!(n.op, DagOp::PinnedAlloc { .. }))
                 .count()
         };
         assert_eq!(allocs(&blocking), blocking.total_streams);

@@ -9,7 +9,7 @@
 //! * batch tiling (`index`/`start`/`len`) depends only on `n` and
 //!   `batch_elems`, never on the GPU count — so a survivor plan has the
 //!   *identical* batch set, and the original plan's merge schedule
-//!   (pair slots, multiway inputs) stays valid verbatim;
+//!   (pair slots, final-merge inputs) stays valid verbatim;
 //! * [`Plan::on_devices`] relabels the survivor plan's compacted GPU
 //!   indices back to physical device numbers, so the shared fault
 //!   schedule, spans, and residency accounting keep addressing the same
@@ -19,21 +19,7 @@
 use std::collections::BTreeSet;
 
 use crate::error::HetSortError;
-use crate::plan::{Plan, StepKind};
-
-/// The batch a stream-bound step operates on, if any.
-pub fn step_batch(kind: &StepKind) -> Option<usize> {
-    match kind {
-        StepKind::StageIn { batch, .. }
-        | StepKind::HtoD { batch, .. }
-        | StepKind::GpuSort { batch }
-        | StepKind::DtoH { batch, .. }
-        | StepKind::StageOut { batch, .. } => Some(*batch),
-        StepKind::PinnedAlloc { .. }
-        | StepKind::PairMerge { .. }
-        | StepKind::MultiwayMerge { .. } => None,
-    }
-}
+use crate::plan::Plan;
 
 /// Build a recovery re-plan of `base` (the *original* plan) over the
 /// devices not in `lost`, relabelled to physical device numbers and

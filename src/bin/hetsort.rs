@@ -2,10 +2,13 @@
 //! heterogeneous sorting pipelines. See `hetsort help`.
 
 use hetsort::analyze::{
-    analyze_plan, analyze_plan_with_trace, explore_plan, AnalysisReport, ExploreConfig, ReplanModel,
+    analyze_dag, analyze_plan_with_trace, explore_plan, AnalysisReport, ExploreConfig, ReplanModel,
 };
 use hetsort::cli::{parse, CliError, Command, RunArgs, ServeArgs, USAGE};
-use hetsort::core::{Approach, HetSortConfig, HetSortError, PairStrategy, Plan};
+use hetsort::core::{
+    build_dag, execute_dag, simulate_dag, Approach, HetSortConfig, HetSortError, PairStrategy,
+    Plan, PlanDag,
+};
 use hetsort::obs::{chrome_trace, Json, MetricsRegistry};
 use hetsort::serve::{
     clean_scenarios, synthetic_jobs, AdmissionModel, ServeBudget, ServeConfig, SortService,
@@ -51,9 +54,10 @@ fn run(cmd: Command) -> Result<(), CliError> {
             }
         }
         Command::Simulate(r) => {
-            let plan = Plan::build(r.config()?, r.n)?;
-            let analysis = r.analyze.then(|| analyze_plan(&plan));
-            let report = hetsort::core::exec_sim::simulate_plan(&plan)?;
+            let dag = build_dag(r.config()?, r.n)?;
+            let plan = &dag.plan;
+            let analysis = r.analyze.then(|| analyze_dag(&dag));
+            let report = simulate_dag(&dag)?;
             println!("{}", report.summary());
             println!(
                 "PCIe/bus utilization: {}",
@@ -65,11 +69,11 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 ref_t / report.total_s
             );
             if let Some(path) = &r.json {
-                let doc = metrics_doc(&plan, "simulate", &report.metrics(), analysis.as_ref());
+                let doc = metrics_doc(plan, "simulate", &report.metrics(), analysis.as_ref());
                 write_output(path, &doc.pretty())?;
             }
             if let Some(a) = analysis {
-                require_clean(&plan, a, "static schedule")?;
+                require_clean(plan, a, "static schedule")?;
             }
         }
         Command::Sort(r) => {
@@ -78,21 +82,22 @@ fn run(cmd: Command) -> Result<(), CliError> {
             if r.analyze {
                 cfg = cfg.with_trace_recording();
             }
-            let plan = Plan::build(cfg, data.len())?;
-            let static_analysis = r.analyze.then(|| analyze_plan(&plan));
+            let dag = build_dag(cfg, data.len())?;
+            let plan = &dag.plan;
+            let static_analysis = r.analyze.then(|| analyze_dag(&dag));
             // Even a dirty schedule gets executed when --json asked for
             // observability output (the findings ship in the JSON); the
             // analyzer verdict still fails the run afterwards.
             if r.json.is_none() {
                 if let Some(a) = static_analysis.clone() {
-                    require_clean(&plan, a, "static schedule")?;
+                    require_clean(plan, a, "static schedule")?;
                 }
             }
-            let out = hetsort::core::exec_real::sort_real_plan(&plan, &data)?;
+            let out = execute_dag(&dag, &data)?;
             let trace_analysis = out
                 .trace
                 .as_ref()
-                .map(|trace| analyze_plan_with_trace(&plan, trace));
+                .map(|trace| analyze_plan_with_trace(&dag, trace));
             println!(
                 "sorted {} elements in {:.3} s wall — {} batches, {} pair merges, verified: {}",
                 out.sorted.len(),
@@ -113,14 +118,14 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     (Some(a), None) => Some(a.clone()),
                     (None, b) => b.clone(),
                 };
-                let doc = metrics_doc(&plan, "sort", &out.metrics, merged.as_ref());
+                let doc = metrics_doc(plan, "sort", &out.metrics, merged.as_ref());
                 write_output(path, &doc.pretty())?;
             }
             if let Some(a) = static_analysis {
-                require_clean(&plan, a, "static schedule")?;
+                require_clean(plan, a, "static schedule")?;
             }
             if let Some(a) = trace_analysis {
-                require_clean(&plan, a, "executed trace")?;
+                require_clean(plan, a, "executed trace")?;
             }
             if !out.verified {
                 return Err(CliError::Run(HetSortError::Data {
@@ -172,7 +177,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
             );
         }
         Command::Dag(r) => {
-            let dag = hetsort::core::build_dag(r.config()?, r.n)?;
+            let dag = build_dag(r.config()?, r.n)?;
             println!(
                 "{} on {}: n={} → {} nodes, {} dependency edges, {} streams, ready-front width ≤ {}",
                 dag.plan.config.approach.name(),
@@ -195,7 +200,7 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 Ok(()) => println!("validator: structurally sound"),
                 Err(e) => println!("validator: REJECTED — {e}"),
             }
-            let report = hetsort::analyze::analyze_dag(&dag);
+            let report = analyze_dag(&dag);
             if report.is_clean() {
                 println!("analyzer: clean");
             } else {
@@ -220,7 +225,8 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     explore_matrix(&ecfg)?;
                 }
             } else {
-                let plan = Plan::build(run.config()?, run.n)?;
+                let dag = build_dag(run.config()?, run.n)?;
+                let plan = &dag.plan;
                 println!(
                     "analyzing {} on {}: n={} → {} batches, {} streams, {} steps",
                     plan.config.approach.name(),
@@ -228,13 +234,13 @@ fn run(cmd: Command) -> Result<(), CliError> {
                     plan.n,
                     plan.nb(),
                     plan.total_streams,
-                    plan.steps.len()
+                    dag.nodes.len()
                 );
-                let report = analyze_plan(&plan);
+                let report = analyze_dag(&dag);
                 print!("{report}");
-                require_clean(&plan, report, "static schedule")?;
+                require_clean(plan, report, "static schedule")?;
                 if explore {
-                    explore_one(&plan, &ecfg)?;
+                    explore_one(&dag, &ecfg)?;
                 }
             }
         }
@@ -446,8 +452,8 @@ fn analyze_matrix() -> Result<(), CliError> {
                 } else {
                     2_000_000_000
                 };
-                let plan = Plan::build(cfg, n)?;
-                let report = analyze_plan(&plan);
+                let dag = build_dag(cfg, n)?;
+                let report = analyze_dag(&dag);
                 total += 1;
                 let verdict = if report.is_clean() {
                     "clean".to_string()
@@ -457,11 +463,11 @@ fn analyze_matrix() -> Result<(), CliError> {
                 };
                 println!(
                     "{:<10} {:<11} {:<15} n={:<12} steps={:<6} {verdict}",
-                    plan.config.platform.name,
+                    dag.plan.config.platform.name,
                     approach.name(),
                     format!("{strategy:?}"),
                     n,
-                    plan.steps.len()
+                    dag.nodes.len()
                 );
                 if !report.is_clean() {
                     print!("{report}");
@@ -489,14 +495,15 @@ fn explore_verdict(report: &hetsort::analyze::ExploreReport, dirty: &mut usize) 
     }
 }
 
-/// Model-check one configured plan: exhaustively explore its lowered
+/// Model-check one configured dag: exhaustively explore its lowered
 /// trace, and — when a fault spec schedules device losses — the
 /// checkpoint/re-plan coordinator racing those losses.
-fn explore_one(plan: &Plan, ecfg: &ExploreConfig) -> Result<(), CliError> {
+fn explore_one(dag: &PlanDag, ecfg: &ExploreConfig) -> Result<(), CliError> {
     let mut dirty = 0usize;
-    let report = explore_plan(plan, ecfg);
+    let report = explore_plan(dag, ecfg);
     explore_verdict(&report, &mut dirty);
 
+    let plan = &dag.plan;
     let losses: Vec<usize> = plan
         .config
         .faults
@@ -548,9 +555,9 @@ fn explore_matrix(ecfg: &ExploreConfig) -> Result<(), CliError> {
         )))
         .collect();
         for (cfg, n) in variants {
-            let plan = Plan::build(cfg, n)?;
+            let dag = build_dag(cfg, n)?;
             total += 1;
-            explore_verdict(&explore_plan(&plan, ecfg), &mut dirty);
+            explore_verdict(&explore_plan(&dag, ecfg), &mut dirty);
         }
     }
     // Recovery coordinator: PIPEMERGE on PLATFORM2 racing a single
