@@ -1,8 +1,9 @@
-//! [`SchedModel`] of the multi-threaded coordinator's device-loss
-//! recovery: workers sorting their batches, a fault script killing
-//! devices, and a coordinator that checkpoints completed batches and
-//! re-plans the rest on the survivors (CPU fallback when none
-//! survive).
+//! [`SchedModel`] of the DAG engine's device-loss recovery: stream
+//! workers sorting their batches, a fault script killing devices
+//! (a dead device's streams stop; the survivors run on), and a
+//! recovery step that checkpoints completed batches and re-plans the
+//! rest on the survivors (CPU fallback when none survive) — the rule
+//! `hetsort_core::execute_dag_opts` follows at every worker count.
 //!
 //! The model abstracts *op timing* away: the fault thread's next loss
 //! can land between any two scheduler actions, so exploring the model

@@ -9,7 +9,7 @@
 use hetsort_analyze::{analyze_dag, analyze_plan_with_trace, analyze_trace, Mutant};
 use hetsort_core::optrace::lower_dag;
 use hetsort_core::plan::Plan;
-use hetsort_core::{exec_real, exec_real_mt, Approach, HetSortConfig, PairStrategy, PlanDag};
+use hetsort_core::{exec_real, Approach, HetSortConfig, PairStrategy, PlanDag};
 use hetsort_vgpu::{platform1, platform2, PlatformSpec, TransferDir, VirtualCuda};
 
 fn scaled(platform: PlatformSpec, approach: Approach) -> HetSortConfig {
@@ -118,8 +118,8 @@ fn executor_recorded_traces_are_clean() {
                 exec_real::sort_real_plan(&plan, &data).unwrap(),
             ),
             (
-                "exec_real_mt",
-                exec_real_mt::sort_real_parallel(&plan, &data).unwrap(),
+                "sort_real_parallel",
+                exec_real::sort_real_parallel(&plan, &data).unwrap(),
             ),
         ] {
             assert!(outcome.verified);

@@ -12,8 +12,8 @@
 
 use hetsort_analyze::analyze_dag;
 use hetsort_core::{
-    execute_dag, execute_dag_opts, execute_dag_pooled_opts, Approach, DagExecOptions,
-    HetSortConfig, PairStrategy, Plan, PlanDag, TieBreak,
+    execute_dag, execute_dag_opts, Approach, DagExecOptions, HetSortConfig, PairStrategy, Plan,
+    PlanDag, TieBreak,
 };
 use hetsort_prng::{prop_assert, run_cases, Rng};
 use hetsort_vgpu::{platform1, platform2};
@@ -74,8 +74,8 @@ fn any_worker_count_and_tiebreak_agree() {
         );
         let data = lcg_data(dag.plan.n, rng.u64());
 
-        let base = execute_dag(&dag, &data).map_err(|e| format!("seq MinId: {e}"))?;
-        prop_assert!(base.verified, "sequential MinId output not verified");
+        let base = execute_dag(&dag, &data).map_err(|e| format!("workers=1 MinId: {e}"))?;
+        prop_assert!(base.verified, "one-worker MinId output not verified");
         let want = bits(&base.sorted);
 
         let max_id = execute_dag_opts(
@@ -86,7 +86,7 @@ fn any_worker_count_and_tiebreak_agree() {
                 ..DagExecOptions::default()
             },
         )
-        .map_err(|e| format!("seq MaxId: {e}"))?;
+        .map_err(|e| format!("workers=1 MaxId: {e}"))?;
         prop_assert!(
             bits(&max_id.sorted) == want,
             "MaxId tie-break changed the output"
@@ -94,19 +94,19 @@ fn any_worker_count_and_tiebreak_agree() {
 
         for workers in [1usize, 2, 3, 8] {
             for tie in [TieBreak::MinId, TieBreak::MaxId] {
-                let out = execute_dag_pooled_opts(
+                let out = execute_dag_opts(
                     &dag,
                     &data,
-                    workers,
                     DagExecOptions {
+                        workers,
                         tie,
                         ..DagExecOptions::default()
                     },
                 )
-                .map_err(|e| format!("pooled workers={workers} {tie:?}: {e}"))?;
+                .map_err(|e| format!("workers={workers} {tie:?}: {e}"))?;
                 prop_assert!(
                     out.verified && bits(&out.sorted) == want,
-                    "pooled workers={workers} {tie:?} diverged from sequential"
+                    "workers={workers} {tie:?} diverged from one worker"
                 );
             }
         }

@@ -1,28 +1,46 @@
-//! The one DAG engine behind sequential and pooled functional
-//! execution.
+//! The one DAG engine behind every functional run.
 //!
-//! Both entry points schedule the same [`PlanDag`] through the same
-//! [`ReadySet`] and differ only in the resource model:
+//! [`execute_dag_opts`] schedules a [`PlanDag`] through one shared
+//! [`ReadySet`] with [`DagExecOptions::workers`] threads, and every
+//! worker runs the same loop: pop the next ready node of any kind, run
+//! it inside `catch_unwind`, complete it.
 //!
-//! * [`execute_dag`] — one host thread. Under the default
-//!   [`TieBreak::MinId`] the ready order *is* the lowering's submission
-//!   order, so outputs, spans, recovery statistics, fault-injection
-//!   occurrence alignment and executed traces are deterministic (the
-//!   differential suite pins them against the pooled engine).
-//! * [`execute_dag_pooled`] — a pool of N workers pulls ready
-//!   stream-bound nodes (stream exclusivity falls out of the FIFO
-//!   edges: at most one node per stream is ever ready), while the
-//!   calling thread coordinates merges, firing each pair merge the
-//!   moment both inputs exist.
+//! * At `workers ≤ 1` the loop runs on the calling thread (no spawn, no
+//!   channel). Under the default [`TieBreak::MinId`] the ready order
+//!   *is* the lowering's submission order, so outputs, spans, recovery
+//!   statistics, fault-occurrence alignment and executed traces are
+//!   deterministic.
+//! * With more workers, stream exclusivity falls out of the FIFO edges
+//!   (at most one node per stream is ever ready), and a pair merge runs
+//!   on whichever worker pops it the moment both inputs exist, so
+//!   merges overlap the staging pipeline by construction.
 //!
-//! Both engines route the full failure model through the same code:
-//! per-batch checkpointing, survivor re-planning on device loss
-//! (lowered to fresh survivor dags), CPU-fallback degradation, and
-//! panic-safe worker death with typed [`HetSortError::WorkerPanic`].
+//! Data moves through write-once slots: a stream's stage-out writes
+//! each chunk into its batch's buffer, which freezes once full; merges
+//! read their inputs in place and freeze their own outputs.
+//!
+//! One failure model at every worker count:
+//!
+//! * a stream that hits [`HetSortError::DeviceLost`] dies: its
+//!   successors stay blocked and the other streams run on. Once the
+//!   pass drains, the frozen batches are the checkpoint. Each recovery
+//!   round lowers [`crate::recover::survivor_plan`] and runs the same
+//!   pass over the survivor dag's stream nodes for the batches still
+//!   missing (a host sort when no device survives). A last pass runs
+//!   the caller's merge nodes that have not run yet;
+//! * a stream node that panics (injected through
+//!   [`hetsort_vgpu::FaultInjector::panic_worker`] or real) kills its
+//!   stream the same way; its missing batches are host-sorted under
+//!   CPU fallback, and otherwise the run fails with
+//!   [`HetSortError::WorkerPanic`] naming the stream. A panicking merge
+//!   is a `WorkerPanic` naming the engine worker;
+//! * the first typed error stops dispatch; in-flight nodes finish and
+//!   the engine returns that error.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
+use std::time::Instant;
 
 use hetsort_algos::keys::{RadixKey, SortOrd};
 use hetsort_algos::merge::par_merge_into_cfg;
@@ -41,10 +59,13 @@ use crate::plan::{MergeSrc, Plan};
 use crate::pool::PoolStats;
 use crate::report::RecoveryStats;
 
-/// Engine knobs. The default is the pinned determinism contract;
-/// non-default values exist for the test battery.
-#[derive(Debug, Clone, Copy, Default)]
+/// Engine knobs. The default is the pinned determinism contract: one
+/// worker on the calling thread, [`TieBreak::MinId`].
+#[derive(Debug, Clone, Copy)]
 pub struct DagExecOptions {
+    /// Threads running the scheduler loop; `≤ 1` runs it inline on the
+    /// calling thread. Capped at the number of nodes a pass schedules.
+    pub workers: usize,
     /// Ready-node tie-break (see [`TieBreak`]).
     pub tie: TieBreak,
     /// Test-support defect ([`crate::dag::mutate::DagMutant::SkipCheckpoint`]):
@@ -52,22 +73,21 @@ pub struct DagExecOptions {
     /// re-plan, recomputing *every* batch. Output stays correct; the
     /// differential check on [`RecoveryStats`] kills it.
     pub skip_checkpoint: bool,
-    /// CPU/GPU work stealing in the pooled engine: ready pair/CPU
-    /// merges are dispatched to dedicated steal workers the moment
-    /// their inputs exist, overlapping merges with the staging pipeline
-    /// instead of running them inline on the coordinator. `false` (the
-    /// default) preserves the coordinator-inline path byte-for-byte —
-    /// the deterministic twin the differential battery pins. Stolen
-    /// merges are pure functions of their inputs, so output, span
-    /// multisets and recovery stats are identical either way; only
-    /// wall-clock interleaving differs. Ignored by the sequential
-    /// engine.
-    pub steal: bool,
+}
+
+impl Default for DagExecOptions {
+    fn default() -> Self {
+        DagExecOptions {
+            workers: 1,
+            tie: TieBreak::MinId,
+            skip_checkpoint: false,
+        }
+    }
 }
 
 /// Shared entry checks: data/plan agreement, element width, plan
 /// invariants, dag validity (which makes every stream index the
-/// engines take from a node in range).
+/// engine takes from a node in range).
 fn check_inputs<T>(dag: &PlanDag, data: &[T]) -> Result<(), HetSortError> {
     let plan = &dag.plan;
     if data.len() != plan.n {
@@ -89,18 +109,6 @@ fn check_inputs<T>(dag: &PlanDag, data: &[T]) -> Result<(), HetSortError> {
     dag.validate()
 }
 
-/// The sorted slice behind a merge source, if it exists yet.
-pub(crate) fn src_slice<'x, T>(
-    src: MergeSrc,
-    batches: &'x [Option<Vec<T>>],
-    pairs: &'x [Option<Vec<T>>],
-) -> Option<&'x [T]> {
-    match src {
-        MergeSrc::Batch(b) => batches[b].as_deref(),
-        MergeSrc::Merged(p) => pairs[p].as_deref(),
-    }
-}
-
 /// Span class and label for a pair slot under the dag's (possibly
 /// hybrid) node typing: slots hybrid lowering emitted as
 /// [`DagOp::CpuMerge`] (`cpu`) record under their own class.
@@ -119,12 +127,10 @@ fn multiway_class(k: usize) -> (OpClass, String) {
 
 /// Run one merge on the run clock `t0` and record it: a span under
 /// `class`/`label` carrying `bytes`, then one [`OpClass::CpuPart`] span
-/// per worker that took part. Every merge path — sequential, pooled
-/// coordinator, steal worker — records through here, so all engines
-/// emit the same span multiset.
+/// per worker that took part.
 fn record_merge(
     spans: &mut Vec<ObsSpan>,
-    t0: std::time::Instant,
+    t0: Instant,
     (class, label): (OpClass, String),
     bytes: f64,
     merge: impl FnOnce() -> SchedStats,
@@ -137,20 +143,6 @@ fn record_merge(
     spans.extend(cpu_part_spans(&label, m_start, &stats));
 }
 
-/// Which pair slots the dag types as [`DagOp::CpuMerge`], indexed by
-/// slot — the pooled coordinator's view of hybrid lowering.
-fn cpu_slots_of(dag: &PlanDag) -> Vec<bool> {
-    let mut v = vec![false; dag.plan.pairs.len()];
-    for node in &dag.nodes {
-        if let DagOp::CpuMerge { slot } = node.op {
-            if let Some(f) = v.get_mut(slot) {
-                *f = true;
-            }
-        }
-    }
-    v
-}
-
 /// Render a lost-GPU set for failover span labels (`"0"`, `"0, 2"`).
 fn gpu_list(lost: &BTreeSet<usize>) -> String {
     lost.iter()
@@ -159,199 +151,420 @@ fn gpu_list(lost: &BTreeSet<usize>) -> String {
         .join(", ")
 }
 
-/// Fire every pending pair merge whose inputs are ready, repeatedly
-/// (an Online/MergeTree merge may unlock the next). Each fired merge is
-/// recorded as a span on the run clock `t0` under the class the dag
-/// assigned its slot (`cpu_slot`).
-#[allow(clippy::too_many_arguments)] // internal helper: plan context + two buffer banks + clock + span sink
-pub(crate) fn fire_ready_pairs<T>(
-    plan: &Plan,
-    sched: &SchedCfg,
-    merge_threads: usize,
-    cpu_slot: &[bool],
-    sorted_batches: &[Option<Vec<T>>],
-    pair_out: &mut [Option<Vec<T>>],
-    pending: &mut Vec<usize>,
-    t0: std::time::Instant,
-    spans: &mut Vec<ObsSpan>,
-) where
-    T: RadixKey + SortOrd + Default,
-{
-    let mut fired = true;
-    while fired {
-        fired = false;
-        let mut i = 0;
-        while i < pending.len() {
-            let slot = pending[i];
-            let spec = plan.pairs[slot];
-            let (Some(l), Some(r)) = (
-                src_slice(spec.left, sorted_batches, pair_out),
-                src_slice(spec.right, sorted_batches, pair_out),
-            ) else {
-                i += 1;
-                continue;
-            };
-            let mut out = vec![T::default(); spec.out_elems];
-            record_merge(
-                spans,
-                t0,
-                pair_class(cpu_slot[slot], slot),
-                spec.out_elems as f64 * plan.config.elem_bytes,
-                || par_merge_into_cfg(sched, merge_threads, l, r, &mut out),
-            );
-            pair_out[slot] = Some(out);
-            pending.remove(i);
-            fired = true;
-        }
-    }
+/// Lock a mutex, recovering the guard from a poisoned lock (a node
+/// panic is already recorded as a [`StreamFail`]; a dead stream's state
+/// is never stepped again).
+fn lock_any<G>(m: &Mutex<G>) -> std::sync::MutexGuard<'_, G> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A pair merge handed to a steal worker: inputs snapshotted, typing
-/// resolved, everything the worker needs without touching coordinator
-/// state.
-struct MergeTask<T> {
-    slot: usize,
-    left: Vec<T>,
-    right: Vec<T>,
-    out_elems: usize,
-    cpu: bool,
-}
-
-/// A finished stolen merge on its way back to the coordinator.
-struct MergeDone<T> {
-    slot: usize,
-    out: Vec<T>,
-    spans: Vec<ObsSpan>,
-}
-
-/// Dispatch every pending pair whose inputs are ready to the steal
-/// pool (removing it from `pending`); returns how many were sent. The
-/// counterpart of [`fire_ready_pairs`] for `steal=on`: the merge
-/// itself happens on a steal worker, and the result re-enters through
-/// the coordinator's done channel. A send failure (workers gone after
-/// an abort) leaves the slot pending for the inline recovery paths.
-fn dispatch_ready_pairs<T: Clone>(
-    plan: &Plan,
-    cpu_slot: &[bool],
-    sorted_batches: &[Option<Vec<T>>],
-    pair_out: &[Option<Vec<T>>],
-    pending: &mut Vec<usize>,
-    task_tx: &std::sync::mpsc::Sender<MergeTask<T>>,
-) -> usize {
-    let mut sent = 0usize;
-    let mut i = 0;
-    while i < pending.len() {
-        let slot = pending[i];
-        let spec = plan.pairs[slot];
-        let (Some(l), Some(r)) = (
-            src_slice(spec.left, sorted_batches, pair_out),
-            src_slice(spec.right, sorted_batches, pair_out),
-        ) else {
-            i += 1;
-            continue;
-        };
-        let task = MergeTask {
-            slot,
-            left: l.to_vec(),
-            right: r.to_vec(),
-            out_elems: spec.out_elems,
-            cpu: cpu_slot[slot],
-        };
-        if task_tx.send(task).is_err() {
-            i += 1;
-            continue;
-        }
-        pending.remove(i);
-        sent += 1;
-    }
-    sent
-}
-
-/// Execute one merge node of the sequential engine over the sorted runs
-/// in `w`, writing pair outputs to `pair_out` and the multiway result
-/// to `b_out`.
-#[allow(clippy::too_many_arguments)] // merge context: inputs, outputs, sched, clock, span sink
-fn run_merge_node<T>(
-    plan: &Plan,
-    op: &DagOp,
-    sched: &SchedCfg,
+/// Run-wide inputs every pass shares.
+struct Run<'a, T> {
+    /// The caller's plan: batch tiling and merge schedule, which every
+    /// survivor re-plan keeps.
+    plan: &'a Plan,
+    data: &'a [T],
+    opts: DagExecOptions,
+    t0: Instant,
+    sched: SchedCfg,
     host_threads: usize,
-    t0: std::time::Instant,
-    w: &[T],
-    b_out: &mut [T],
-    pair_out: &mut [Vec<T>],
-    merge_spans: &mut Vec<ObsSpan>,
-    pair_merges_done: &mut usize,
-) -> Result<(), HetSortError>
+    device_sort_threads: usize,
+    memcpy_threads: usize,
+}
+
+/// A batch's sorted run: filled chunk by chunk by its stage-out, then
+/// frozen for the merges.
+struct BatchSlot<T> {
+    /// Assembly buffer and the elements written into it so far.
+    filling: Mutex<(Vec<T>, usize)>,
+    sorted: OnceLock<Vec<T>>,
+}
+
+/// Every write-once result of a run.
+struct Slots<T> {
+    batches: Vec<BatchSlot<T>>,
+    pairs: Vec<OnceLock<Vec<T>>>,
+    /// The final multiway merge's output (`n_b > 1` only).
+    out: OnceLock<Vec<T>>,
+}
+
+impl<T> Slots<T> {
+    fn new(plan: &Plan) -> Self {
+        Slots {
+            batches: (0..plan.nb())
+                .map(|_| BatchSlot {
+                    filling: Mutex::new((Vec::new(), 0)),
+                    sorted: OnceLock::new(),
+                })
+                .collect(),
+            pairs: (0..plan.pairs.len()).map(|_| OnceLock::new()).collect(),
+            out: OnceLock::new(),
+        }
+    }
+
+    /// The sorted run behind a merge source, if it exists yet.
+    fn src(&self, src: MergeSrc) -> Option<&[T]> {
+        match src {
+            MergeSrc::Batch(b) => self.batches[b].sorted.get(),
+            MergeSrc::Merged(p) => self.pairs[p].get(),
+        }
+        .map(Vec::as_slice)
+    }
+
+    fn missing(&self, batch: usize) -> bool {
+        self.batches[batch].sorted.get().is_none()
+    }
+
+    /// Whether merge node `op` still has to run (its output slot is
+    /// empty); `false` for non-merge ops.
+    fn merge_pending(&self, op: &DagOp) -> bool {
+        match *op {
+            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+                self.pairs[slot].get().is_none()
+            }
+            DagOp::MultiwayMerge => self.out.get().is_none(),
+            _ => false,
+        }
+    }
+}
+
+/// What every pass adds to the outcome.
+#[derive(Default)]
+struct Tally {
+    recovery: RecoveryStats,
+    pool: PoolStats,
+    metrics: MetricsRegistry,
+}
+
+/// What ended a stream that did not finish cleanly.
+enum StreamFail {
+    Lost(usize),
+    Panicked(String),
+}
+
+/// The scheduler state every worker locks.
+struct Sched {
+    ready: ReadySet,
+    inflight: usize,
+    /// Per stream: why it died, if it did. A dead stream's successors
+    /// are never released, and the FIFO edges make every later node of
+    /// the stream one of them.
+    dead: Vec<Option<StreamFail>>,
+    /// The first typed error (or merge panic); stops dispatch.
+    abort: Option<HetSortError>,
+}
+
+/// One pass over a dag's in-scope nodes.
+struct Pass<'a, T> {
+    run: &'a Run<'a, T>,
+    dag: &'a PlanDag,
+    slots: &'a Slots<T>,
+    streams: Vec<Mutex<StreamExec<'a, T>>>,
+    state: Mutex<Sched>,
+    wake: Condvar,
+    workers: usize,
+}
+
+/// How a pass ended when no typed error stopped it.
+#[derive(Default)]
+struct PassEnd {
+    /// Per stream of the pass's dag: why it died, if it did.
+    dead: Vec<Option<StreamFail>>,
+    /// Per stream: the accesses each executed node performed.
+    logs: Vec<Vec<(usize, Vec<Access>)>>,
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|m| (*m).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
+}
+
+impl<'a, T> Pass<'a, T>
 where
     T: RadixKey + SortOrd + Default,
 {
-    let elem_bytes = plan.config.elem_bytes;
-    let resolve = |src: MergeSrc, pair_out: &'_ [Vec<T>]| -> Vec<T> {
-        match src {
-            MergeSrc::Batch(b) => {
-                let bi = &plan.batches[b];
-                w[bi.start..bi.start + bi.len].to_vec()
-            }
-            MergeSrc::Merged(p) => pair_out[p].clone(),
-        }
-    };
-    match op {
-        DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
-            let spec = plan.pairs[*slot];
-            // Borrow discipline: snapshot inputs, then write the slot.
-            let left = resolve(spec.left, pair_out);
-            let right = resolve(spec.right, pair_out);
-            let mut out = vec![T::default(); spec.out_elems];
-            record_merge(
-                merge_spans,
-                t0,
-                pair_class(matches!(op, DagOp::CpuMerge { .. }), *slot),
-                spec.out_elems as f64 * elem_bytes,
-                || par_merge_into_cfg(sched, host_threads, &left, &right, &mut out),
-            );
-            pair_out[*slot] = out;
-            *pair_merges_done += 1;
-        }
-        DagOp::MultiwayMerge => {
-            let lists: Vec<&[T]> = plan
-                .final_inputs
-                .iter()
-                .map(|&src| match src {
-                    MergeSrc::Batch(b) => {
-                        let bi = &plan.batches[b];
-                        &w[bi.start..bi.start + bi.len]
-                    }
-                    MergeSrc::Merged(p) => pair_out[p].as_slice(),
-                })
-                .collect();
-            record_merge(
-                merge_spans,
-                t0,
-                multiway_class(lists.len()),
-                plan.n as f64 * elem_bytes,
-                || par_multiway_merge_into_cfg(sched, host_threads, &lists, b_out),
-            );
-        }
-        other => {
-            return Err(HetSortError::Plan {
-                reason: format!(
-                    "run_merge_node called on non-merge op {}",
-                    other.class_name()
-                ),
-            })
+    /// Wake waiting workers (there are none when the loop runs inline).
+    fn notify(&self) {
+        if self.workers > 1 {
+            self.wake.notify_all();
         }
     }
-    Ok(())
+
+    /// The next node to run, or `None` once nothing can become ready.
+    fn next(&self) -> Option<usize> {
+        let mut g = lock_any(&self.state);
+        loop {
+            if g.abort.is_none() {
+                if let Some(id) = g.ready.pop() {
+                    g.inflight += 1;
+                    return Some(id);
+                }
+            }
+            if g.inflight == 0 {
+                drop(g);
+                self.notify();
+                return None;
+            }
+            g = self
+                .wake
+                .wait(g)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    /// The scheduler loop every worker runs; returns the merge spans
+    /// worker `w` recorded.
+    fn work(&self, w: usize) -> Vec<ObsSpan> {
+        let mut spans = Vec::new();
+        while let Some(id) = self.next() {
+            let stream = self.dag.nodes[id].stream;
+            let r = catch_unwind(AssertUnwindSafe(|| match stream {
+                Some(s) => self.step(id, s),
+                None => self.merge(&self.dag.nodes[id].op, &mut spans),
+            }));
+            let mut g = lock_any(&self.state);
+            g.inflight -= 1;
+            match (r, stream) {
+                (Ok(Ok(())), _) => g.ready.complete(id),
+                (Ok(Err(HetSortError::DeviceLost { gpu })), Some(s)) => {
+                    g.dead[s] = Some(StreamFail::Lost(gpu));
+                }
+                (Ok(Err(e)), _) => {
+                    g.abort.get_or_insert(e);
+                }
+                (Err(payload), Some(s)) => {
+                    g.dead[s] = Some(StreamFail::Panicked(panic_message(&*payload)));
+                }
+                (Err(payload), None) => {
+                    g.abort.get_or_insert(HetSortError::WorkerPanic {
+                        worker: w,
+                        message: panic_message(&*payload),
+                    });
+                }
+            }
+            drop(g);
+            self.notify();
+        }
+        spans
+    }
+
+    /// Run stream-bound node `id` on stream `s`, writing stage-out
+    /// chunks into their batch slots.
+    fn step(&self, id: usize, s: usize) -> Result<(), HetSortError> {
+        let op = &self.dag.nodes[id].op;
+        let mut sx = lock_any(&self.streams[s]);
+        if let DagOp::StagingCopy {
+            batch,
+            chunk: 0,
+            dir_in: true,
+            ..
+        } = *op
+        {
+            let inj = self.dag.plan.config.faults.as_deref();
+            if inj.is_some_and(|inj| inj.should_panic(s)) {
+                panic!("injected panic in stream worker {s} at batch {batch}");
+            }
+        }
+        sx.step(id, op, &mut |batch, start, chunk| {
+            self.emit(batch, start, chunk)
+        })
+    }
+
+    /// Write a stage-out chunk into its batch slot; freeze the batch
+    /// once every element arrived.
+    fn emit(&self, batch: usize, start: usize, chunk: &[T]) {
+        let bi = &self.run.plan.batches[batch];
+        let slot = &self.slots.batches[batch];
+        let mut g = lock_any(&slot.filling);
+        let (buf, filled) = &mut *g;
+        if buf.len() != bi.len {
+            *buf = vec![T::default(); bi.len];
+        }
+        let off = start - bi.start;
+        par_copy(
+            self.run.memcpy_threads,
+            chunk,
+            &mut buf[off..off + chunk.len()],
+        );
+        *filled += chunk.len();
+        if *filled == bi.len {
+            *filled = 0;
+            let _ = slot.sorted.set(std::mem::take(buf));
+        }
+    }
+
+    /// Run merge node `op` over its input slots, in place.
+    fn merge(&self, op: &DagOp, spans: &mut Vec<ObsSpan>) -> Result<(), HetSortError> {
+        let run = self.run;
+        let plan = run.plan;
+        let input = |src| {
+            self.slots.src(src).ok_or_else(|| HetSortError::Plan {
+                reason: format!("{} ran before its inputs exist", op.class_name()),
+            })
+        };
+        match *op {
+            DagOp::PairMerge { slot } | DagOp::CpuMerge { slot } => {
+                let spec = plan.pairs[slot];
+                let (l, r) = (input(spec.left)?, input(spec.right)?);
+                let mut out = vec![T::default(); spec.out_elems];
+                record_merge(
+                    spans,
+                    run.t0,
+                    pair_class(matches!(op, DagOp::CpuMerge { .. }), slot),
+                    spec.out_elems as f64 * plan.config.elem_bytes,
+                    || par_merge_into_cfg(&run.sched, run.host_threads, l, r, &mut out),
+                );
+                let _ = self.slots.pairs[slot].set(out);
+            }
+            DagOp::MultiwayMerge => {
+                let lists = plan
+                    .final_inputs
+                    .iter()
+                    .map(|&src| input(src))
+                    .collect::<Result<Vec<&[T]>, _>>()?;
+                let mut out = vec![T::default(); plan.n];
+                record_merge(
+                    spans,
+                    run.t0,
+                    multiway_class(lists.len()),
+                    plan.n as f64 * plan.config.elem_bytes,
+                    || par_multiway_merge_into_cfg(&run.sched, run.host_threads, &lists, &mut out),
+                );
+                let _ = self.slots.out.set(out);
+            }
+            // A validated dag binds every non-merge op to a stream.
+            _ => {
+                return Err(HetSortError::Plan {
+                    reason: format!("{} has no stream", op.class_name()),
+                })
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Execute the dag sequentially with default options (the pinned
-/// [`TieBreak::MinId`] determinism contract).
+/// Run the in-scope nodes of `dag` to completion with the run's worker
+/// count, absorbing every stream's counters, pool statistics and spans
+/// into `tally` (failed streams too: their work still happened).
 ///
 /// # Errors
 ///
-/// Everything [`crate::exec_real::sort_real_plan`] documents, plus
-/// [`HetSortError::Plan`] when the dag fails [`PlanDag::validate`].
+/// The first typed error a node returned, or the first merge panic.
+fn pass<T>(
+    run: &Run<'_, T>,
+    dag: &PlanDag,
+    in_scope: impl Fn(usize) -> bool,
+    slots: &Slots<T>,
+    tally: &mut Tally,
+) -> Result<PassEnd, HetSortError>
+where
+    T: RadixKey + SortOrd + Default,
+{
+    let ready = ReadySet::new(dag, in_scope, run.opts.tie);
+    if ready.remaining() == 0 {
+        return Ok(PassEnd::default());
+    }
+    let n_streams = dag.plan.total_streams;
+    let p = Pass {
+        run,
+        dag,
+        slots,
+        workers: run.opts.workers.clamp(1, ready.remaining()),
+        streams: (0..n_streams)
+            .map(|s| {
+                Mutex::new(StreamExec::new(
+                    &dag.plan,
+                    run.data,
+                    s,
+                    run.host_threads,
+                    run.device_sort_threads,
+                    run.t0,
+                ))
+            })
+            .collect(),
+        state: Mutex::new(Sched {
+            ready,
+            inflight: 0,
+            dead: (0..n_streams).map(|_| None).collect(),
+            abort: None,
+        }),
+        wake: Condvar::new(),
+    };
+    let merge_spans = if p.workers == 1 {
+        p.work(0)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..p.workers)
+                .map(|w| {
+                    let p = &p;
+                    scope.spawn(move || p.work(w))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join())
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .map_err(|_| HetSortError::Plan {
+            reason: "dag engine worker died outside the node sandbox".to_string(),
+        })?
+        .concat()
+    };
+    let mut end = PassEnd::default();
+    for sx in p.streams {
+        let sx = sx
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        tally.recovery.retries += sx.stats.retries;
+        tally.recovery.degraded_batches += sx.stats.degraded_batches;
+        tally.recovery.oom_replans += sx.stats.oom_replans;
+        tally.pool.absorb(sx.pool.stats);
+        tally.metrics.record_all(sx.span_log);
+        end.logs.push(sx.access_log);
+    }
+    tally.metrics.record_all(merge_spans);
+    let state = p
+        .state
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    match state.abort {
+        Some(e) => Err(e),
+        None => {
+            end.dead = state.dead;
+            Ok(end)
+        }
+    }
+}
+
+/// Host-sort every batch no device delivered, straight from `A`;
+/// returns how many.
+fn host_sort_missing<T>(run: &Run<'_, T>, slots: &mut Slots<T>) -> usize
+where
+    T: RadixKey + SortOrd + Default,
+{
+    let mut sorted = 0;
+    for (b, slot) in slots.batches.iter_mut().enumerate() {
+        if slot.sorted.get().is_none() {
+            let bi = &run.plan.batches[b];
+            let mut buf = run.data[bi.start..bi.start + bi.len].to_vec();
+            par_radix_sort_cfg(&run.sched, run.host_threads, &mut buf);
+            let _ = slot.sorted.set(buf);
+            sorted += 1;
+        }
+    }
+    sorted
+}
+
+/// Execute the dag with default options: one worker on the calling
+/// thread, the pinned [`TieBreak::MinId`] determinism contract.
+///
+/// # Errors
+///
+/// As [`execute_dag_opts`].
 pub fn execute_dag<T>(dag: &PlanDag, data: &[T]) -> Result<RealOutcome<T>, HetSortError>
 where
     T: RadixKey + SortOrd + Default,
@@ -359,11 +572,21 @@ where
     execute_dag_opts(dag, data, DagExecOptions::default())
 }
 
-/// Sequential engine with explicit [`DagExecOptions`].
+/// Execute the dag with explicit [`DagExecOptions`]. Output bits do not
+/// depend on the options; at `workers ≤ 1` everything else (spans,
+/// recovery statistics, fault alignment, executed trace) is
+/// deterministic too. With several workers and a fault injector armed,
+/// occurrence counters stay exact but *which* stream observes an
+/// occurrence depends on interleaving.
 ///
 /// # Errors
 ///
-/// As [`execute_dag`].
+/// [`HetSortError::Data`] on plan/data mismatches,
+/// [`HetSortError::Plan`] when the dag fails [`PlanDag::validate`],
+/// typed fault errors when the recovery policy does not absorb an
+/// injected fault, [`HetSortError::DeviceLost`] when no device survives
+/// and CPU fallback is off, and [`HetSortError::WorkerPanic`] when a
+/// node panics and no fallback covers it.
 pub fn execute_dag_opts<T>(
     dag: &PlanDag,
     data: &[T],
@@ -375,875 +598,157 @@ where
     check_inputs(dag, data)?;
     let plan = &dag.plan;
     let cfg = &plan.config;
-    let n = plan.n;
     let nb = plan.nb();
     let input_fp = fingerprint(data);
     let injected_before = cfg.faults.as_ref().map_or(0, |i| i.injected());
-    let t0 = std::time::Instant::now();
-
-    // Memory: A (borrowed), W (working memory for sorted sublists),
-    // B (output), per-stream state (pinned + device buffers) in the
-    // stream interpreters.
-    let mut w = vec![T::default(); if nb > 1 { n } else { 0 }];
-    let mut b_out = vec![T::default(); n];
-    let mut pair_out: Vec<Vec<T>> = (0..plan.pairs.len()).map(|_| Vec::new()).collect();
-    let merge_threads = usize::try_from(cfg.merge_threads_eff()).unwrap_or(usize::MAX);
-    // Cap the functional thread count at this machine's parallelism ×4:
-    // simulated platforms may have more cores than the host.
-    let host_threads = merge_threads.min(4 * hetsort_algos::par::default_threads());
-    let device_sort_threads = hetsort_algos::par::default_threads();
-    let memcpy_threads = usize::try_from(cfg.memcpy_threads_eff())
-        .unwrap_or(usize::MAX)
-        .min(4 * hetsort_algos::par::default_threads());
-    let sched = cfg.sched_cfg();
-
-    // --- Phase 1: ready-order passes produce the sorted runs in `w`
-    // (or `b_out` when n_b = 1). A device loss aborts the pass;
-    // unfinished work is re-planned onto the survivors (or host-sorted
-    // when none remain) and the next pass covers only batches not yet
-    // staged out. Merge nodes execute inline only on the original dag
-    // (batch tiling is identical across re-plans, so the *original*
-    // dag's merge schedule stays valid); any still unexecuted after
-    // recovery run in phase 2.
-    let mut recovery = RecoveryStats::default();
-    let mut pool_stats = PoolStats::default();
-    let mut metrics = MetricsRegistry::new();
+    // Cap the functional thread counts at this machine's parallelism
+    // ×4: simulated platforms may have more cores than the host.
+    let cap = 4 * hetsort_algos::par::default_threads();
+    let run = Run {
+        plan,
+        data,
+        opts,
+        t0: Instant::now(),
+        sched: cfg.sched_cfg(),
+        host_threads: usize::try_from(cfg.merge_threads_eff())
+            .unwrap_or(usize::MAX)
+            .min(cap),
+        device_sort_threads: hetsort_algos::par::default_threads(),
+        memcpy_threads: usize::try_from(cfg.memcpy_threads_eff())
+            .unwrap_or(usize::MAX)
+            .min(cap),
+    };
+    let t0 = run.t0;
+    let mut slots = Slots::new(plan);
+    let mut tally = Tally::default();
     let mut replans: Vec<Plan> = Vec::new();
-    let mut lost_gpus: BTreeSet<usize> = Default::default();
-    let mut emitted: Vec<usize> = vec![0usize; nb];
-    let mut final_logs: Vec<Vec<(usize, Vec<Access>)>> = Vec::new();
-    let mut merge_done: Vec<bool> = vec![false; dag.nodes.len()];
-    let mut merge_spans: Vec<ObsSpan> = Vec::new();
-    let mut pair_merges_done = 0usize;
-    let mut cur_dag_owned: Option<PlanDag> = None;
+    let mut lost_gpus: BTreeSet<usize> = BTreeSet::new();
+
+    // Every node of the caller's dag; its access logs are the executed
+    // trace.
+    let first = pass(&run, dag, |_| true, &slots, &mut tally)?;
+    let logs = first.logs;
+    let mut dead = first.dead;
     loop {
-        let cur_dag: &PlanDag = cur_dag_owned.as_ref().unwrap_or(dag);
-        let cur = &cur_dag.plan;
-        let on_base = cur_dag_owned.is_none();
-        let mut streams: Vec<StreamExec<T>> = (0..cur.total_streams)
-            .map(|s| StreamExec::new(cur, data, s, host_threads, device_sort_threads, t0))
-            .collect();
-        let mut lost: Option<usize> = None;
-        // Steps skipped because their batch already completed log empty
-        // access lists: "no accesses this pass" must override the
-        // static derivation in the assembled trace.
-        let mut skipped_log: Vec<(usize, Vec<Access>)> = Vec::new();
-        // The original dag schedules everything; survivor dags schedule
-        // stream nodes only (their merges are never executed).
-        let mut ready = ReadySet::new(
-            cur_dag,
-            |i| on_base || cur_dag.nodes[i].stream.is_some(),
-            opts.tie,
-        );
-        while let Some(si) = ready.pop() {
-            let node = &cur_dag.nodes[si];
-            // A validated dag binds exactly the non-merge ops to streams.
-            let Some(s) = node.stream else {
-                run_merge_node(
-                    plan,
-                    &node.op,
-                    &sched,
-                    host_threads,
-                    t0,
-                    &w,
-                    &mut b_out,
-                    &mut pair_out,
-                    &mut merge_spans,
-                    &mut pair_merges_done,
-                )?;
-                merge_done[si] = true;
-                ready.complete(si);
-                continue;
-            };
-            if let Some(bi) = node.op.batch() {
-                if emitted[bi] >= cur.batches[bi].len {
-                    if cur.config.record_trace {
-                        skipped_log.push((si, Vec::new()));
-                    }
-                    ready.complete(si);
-                    continue;
-                }
-            }
-            let dst = if nb > 1 { &mut w } else { &mut b_out };
-            let r = streams[s].step(si, &node.op, &mut |batch, start, chunk| {
-                par_copy(memcpy_threads, chunk, &mut dst[start..start + chunk.len()]);
-                emitted[batch] += chunk.len();
-            });
-            match r {
-                Ok(()) => ready.complete(si),
-                Err(HetSortError::DeviceLost { gpu }) => {
-                    lost = Some(gpu);
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for sx in &mut streams {
-            recovery.retries += sx.stats.retries;
-            recovery.degraded_batches += sx.stats.degraded_batches;
-            recovery.oom_replans += sx.stats.oom_replans;
-            pool_stats.absorb(sx.pool.stats);
-            metrics.record_all(std::mem::take(&mut sx.span_log));
-        }
-        if cur.config.record_trace {
-            // The trace covers the final pass; earlier aborted passes'
-            // logs reference a different dag's node ids.
-            final_logs = streams.iter().map(|sx| sx.access_log.clone()).collect();
-            final_logs.push(skipped_log);
-        }
-        let Some(gpu) = lost else { break };
-
-        // Device fault domain: checkpoint what finished, re-plan the
-        // rest over the survivors.
-        recovery.device_lost += 1;
-        recovery.record_lost_gpu(gpu);
-        lost_gpus.insert(gpu);
-        let unfinished: Vec<usize> = (0..nb)
-            .filter(|&b| opts.skip_checkpoint || emitted[b] < plan.batches[b].len)
-            .collect();
-        recovery.batches_recomputed += unfinished
-            .iter()
-            .filter(|&&b| cur.physical_gpu(cur.batches[b].gpu) == gpu)
-            .count();
-        // Partially staged-out batches are recomputed whole.
-        for &b in &unfinished {
-            emitted[b] = 0;
-        }
-        let t_fail = t0.elapsed().as_secs_f64();
-        match crate::recover::survivor_plan(plan, &lost_gpus)? {
-            Some(rp) => {
-                recovery.replans += 1;
-                metrics.record(ObsSpan::new(
-                    OpClass::Other,
-                    format!(
-                        "failover: GPU {gpu} lost → re-plan {} batch(es) on {} device(s)",
-                        unfinished.len(),
-                        rp.device_ids.len()
-                    ),
-                    t_fail,
-                    t0.elapsed().as_secs_f64(),
-                ));
-                replans.push(rp.clone());
-                cur_dag_owned = Some(PlanDag::from_plan(rp));
-            }
-            None => {
-                if !cfg.recovery.cpu_fallback {
-                    return Err(HetSortError::DeviceLost { gpu });
-                }
-                // Every device is gone: sort the unfinished batches
-                // host-side straight from `A`.
-                for &b in &unfinished {
-                    let bi = plan.batches[b];
-                    let dst = if nb > 1 { &mut w } else { &mut b_out };
-                    let seg = &mut dst[bi.start..bi.start + bi.len];
-                    par_copy(memcpy_threads, &data[bi.start..bi.start + bi.len], seg);
-                    hetsort_algos::radix_par::par_radix_sort_cfg(&sched, host_threads, seg);
-                    emitted[b] = bi.len;
-                    recovery.degraded_batches += 1;
-                }
-                metrics.record(ObsSpan::new(
-                    OpClass::Other,
-                    format!(
-                        "failover: GPU(s) {} lost, no survivors → host sort of {} batch(es)",
-                        gpu_list(&lost_gpus),
-                        unfinished.len()
-                    ),
-                    t_fail,
-                    t0.elapsed().as_secs_f64(),
-                ));
-                break;
-            }
-        }
-    }
-    debug_assert!(
-        (0..nb).all(|b| emitted[b] == plan.batches[b].len),
-        "every batch must be staged out before merging"
-    );
-
-    // --- Phase 2: the original dag's merge schedule over the sorted
-    // runs in `w` — only nodes phase 1 did not already execute.
-    let mut merges = ReadySet::new(dag, |i| dag.nodes[i].op.is_merge(), opts.tie);
-    while let Some(si) = merges.pop() {
-        if !merge_done[si] {
-            run_merge_node(
-                plan,
-                &dag.nodes[si].op,
-                &sched,
-                host_threads,
-                t0,
-                &w,
-                &mut b_out,
-                &mut pair_out,
-                &mut merge_spans,
-                &mut pair_merges_done,
-            )?;
-        }
-        merges.complete(si);
-    }
-
-    recovery.faults_injected = cfg.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
-
-    // With re-plans, the executed trace covers the final pass (the dag
-    // that actually finished the run).
-    let trace = cfg
-        .record_trace
-        .then(|| assemble_trace(cur_dag_owned.as_ref().unwrap_or(dag), &final_logs));
-
-    metrics.record_all(merge_spans);
-    recovery.fold_into(&mut metrics);
-    pool_stats.fold_into(&mut metrics);
-
-    let wall_s = t0.elapsed().as_secs_f64();
-    let verified = is_sorted(&b_out) && fingerprint(&b_out) == input_fp;
-    Ok(RealOutcome {
-        sorted: b_out,
-        wall_s,
-        verified,
-        nb,
-        pair_merges: pair_merges_done,
-        recovery,
-        trace,
-        metrics,
-        replans,
-    })
-}
-
-/// What ended a stream that did not finish cleanly.
-enum StreamFail {
-    Lost(usize),
-    Typed(HetSortError),
-    Panicked(String),
-}
-
-/// Pool scheduler state shared by the workers. Ready and dependent
-/// entries are `(node id, stream)`: the pool only ever holds
-/// stream-bound nodes, so each carries its binding.
-struct PoolSched {
-    ready: BTreeSet<(usize, usize)>,
-    indegree: Vec<usize>,
-    inflight: usize,
-    dead: Vec<bool>,
-}
-
-/// Per-stream interpreter state a worker locks while executing one of
-/// the stream's nodes (FIFO edges guarantee at most one ready node per
-/// stream, so the lock is uncontended in practice).
-struct StreamSlot<'p, T> {
-    sx: StreamExec<'p, T>,
-    assembling: Option<(usize, Vec<T>)>,
-}
-
-/// Lock a mutex, recovering the guard from a poisoned lock (a worker
-/// panic is already recorded as a [`StreamFail`]; the data is not
-/// touched again for dead streams).
-fn lock_any<G>(m: &Mutex<G>) -> std::sync::MutexGuard<'_, G> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Execute the dag with a pool of `workers` threads over the stream
-/// subgraph, the calling thread coordinating merges — the parallel
-/// engine behind [`crate::exec_real_mt::sort_real_parallel`].
-///
-/// Produces bit-identical output to [`execute_dag`] (the data path is
-/// deterministic; only wall-clock interleaving differs). With a fault
-/// injector armed, global occurrence counters are still exact, but
-/// *which* stream observes an occurrence depends on interleaving —
-/// concurrent fault tests should use single-stream configs or
-/// worker-addressed panics.
-///
-/// # Errors
-///
-/// As [`crate::exec_real_mt::sort_real_parallel`].
-pub fn execute_dag_pooled<T>(
-    dag: &PlanDag,
-    data: &[T],
-    workers: usize,
-) -> Result<RealOutcome<T>, HetSortError>
-where
-    T: RadixKey + SortOrd + Default,
-{
-    execute_dag_pooled_opts(dag, data, workers, DagExecOptions::default())
-}
-
-/// Pooled engine with explicit [`DagExecOptions`] (`skip_checkpoint`
-/// applies to the sequential recovery mini-pass only and is ignored
-/// here).
-///
-/// # Errors
-///
-/// As [`execute_dag_pooled`].
-pub fn execute_dag_pooled_opts<T>(
-    dag: &PlanDag,
-    data: &[T],
-    workers: usize,
-    opts: DagExecOptions,
-) -> Result<RealOutcome<T>, HetSortError>
-where
-    T: RadixKey + SortOrd + Default,
-{
-    check_inputs(dag, data)?;
-    let plan = &dag.plan;
-    let nb = plan.nb();
-    let input_fp = fingerprint(data);
-    let injected_before = plan.config.faults.as_ref().map_or(0, |i| i.injected());
-    let t0 = std::time::Instant::now();
-    let merge_threads = usize::try_from(plan.config.merge_threads_eff())
-        .unwrap_or(usize::MAX)
-        .min(4 * hetsort_algos::par::default_threads());
-    let device_sort_threads = hetsort_algos::par::default_threads();
-    let sched = plan.config.sched_cfg();
-    let n_workers = workers.max(1);
-    // Hybrid typing per pair slot, as lowered into the dag.
-    let cpu_slot = cpu_slots_of(dag);
-
-    // Steal channels live outside the scope so the steal workers'
-    // borrow of the task receiver satisfies the `'scope` bound; the
-    // task sender is moved into the coordinator closure and dropped
-    // there once no more merges can be dispatched, which is what lets
-    // idle steal workers drain and exit before the scope joins.
-    let (task_tx, task_rx) = std::sync::mpsc::channel::<MergeTask<T>>();
-    let task_rx = Mutex::new(task_rx);
-    let (done_tx, done_rx) = std::sync::mpsc::channel::<MergeDone<T>>();
-
-    // Stream-subgraph scheduling state (merges belong to the
-    // coordinator, not the pool).
-    let mut indegree = vec![0usize; dag.nodes.len()];
-    let mut dependents: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dag.nodes.len()];
-    let mut ready: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (i, node) in dag.nodes.iter().enumerate() {
-        let Some(s) = node.stream else { continue };
-        for &d in &node.deps {
-            if dag.nodes[d].stream.is_some() {
-                indegree[i] += 1;
-                dependents[d].push((i, s));
-            }
-        }
-        if indegree[i] == 0 {
-            ready.insert((i, s));
-        }
-    }
-
-    let sched_mx = Mutex::new(PoolSched {
-        ready,
-        indegree,
-        inflight: 0,
-        dead: vec![false; plan.total_streams],
-    });
-    let cond = Condvar::new();
-    let slots: Vec<Mutex<StreamSlot<T>>> = (0..plan.total_streams)
-        .map(|s| {
-            Mutex::new(StreamSlot {
-                sx: StreamExec::new(plan, data, s, merge_threads, device_sort_threads, t0),
-                assembling: None,
-            })
-        })
-        .collect();
-    let fails_mx: Mutex<Vec<Option<StreamFail>>> =
-        Mutex::new((0..plan.total_streams).map(|_| None).collect());
-
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<T>)>();
-
-    let mut sorted_batches: Vec<Option<Vec<T>>> = (0..nb).map(|_| None).collect();
-    let mut pair_out: Vec<Option<Vec<T>>> = (0..plan.pairs.len()).map(|_| None).collect();
-    let mut b_out: Vec<T> = Vec::new();
-    let mut recovery = RecoveryStats::default();
-    let mut pool_stats = PoolStats::default();
-    let mut stream_logs: Vec<Vec<(usize, Vec<Access>)>> = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    let mut merge_spans: Vec<ObsSpan> = Vec::new();
-    let mut replans: Vec<Plan> = Vec::new();
-
-    std::thread::scope(|scope| -> Result<(), HetSortError> {
-        // ---- worker pool over ready stream nodes --------------------
-        let mut handles = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let tx = tx.clone();
-            let (sched_mx, cond, slots, fails_mx, dependents) =
-                (&sched_mx, &cond, &slots, &fails_mx, &dependents);
-            handles.push(scope.spawn(move || {
-                loop {
-                    // Acquire the next ready node under the tie-break.
-                    let next = {
-                        let mut g = lock_any(sched_mx);
-                        loop {
-                            let pick = match opts.tie {
-                                TieBreak::MinId => g.ready.iter().next().copied(),
-                                TieBreak::MaxId => g.ready.iter().next_back().copied(),
-                            };
-                            if let Some(entry) = pick {
-                                g.ready.remove(&entry);
-                                g.inflight += 1;
-                                break Some(entry);
-                            }
-                            if g.inflight == 0 {
-                                break None;
-                            }
-                            g = match cond.wait(g) {
-                                Ok(g) => g,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                        }
-                    };
-                    let Some((id, s)) = next else {
-                        // Drained (or permanently stuck behind a dead
-                        // stream): wake any peers still waiting.
-                        cond.notify_all();
-                        return;
-                    };
-                    let node = &dag.nodes[id];
-                    let stream_dead = lock_any(sched_mx).dead[s];
-                    let mut ok = false;
-                    if !stream_dead {
-                        let mut slot = lock_any(&slots[s]);
-                        let StreamSlot { sx, assembling } = &mut *slot;
-                        let r = catch_unwind(AssertUnwindSafe(|| -> Result<(), HetSortError> {
-                            if let DagOp::StagingCopy {
-                                batch,
-                                chunk: 0,
-                                dir_in: true,
-                                ..
-                            } = node.op
-                            {
-                                if let Some(inj) = plan.config.faults.as_deref() {
-                                    if inj.should_panic(s) {
-                                        panic!(
-                                            "injected panic in stream worker {s} at batch {batch}"
-                                        );
-                                    }
-                                }
-                            }
-                            sx.step(id, &node.op, &mut |batch, _start, chunk| {
-                                let (_, buf) = assembling.get_or_insert_with(|| {
-                                    (batch, Vec::with_capacity(plan.batches[batch].len))
-                                });
-                                buf.extend_from_slice(chunk);
-                                if buf.len() == plan.batches[batch].len {
-                                    if let Some(done) = assembling.take() {
-                                        // A dead coordinator just means
-                                        // the run already failed; don't
-                                        // panic on top.
-                                        let _ = tx.send(done);
-                                    }
-                                }
-                            })
-                        }));
-                        match r {
-                            Ok(Ok(())) => ok = true,
-                            Ok(Err(e)) => {
-                                let mut f = lock_any(fails_mx);
-                                if f[s].is_none() {
-                                    f[s] = Some(match e {
-                                        HetSortError::DeviceLost { gpu } => StreamFail::Lost(gpu),
-                                        other => StreamFail::Typed(other),
-                                    });
-                                }
-                            }
-                            Err(payload) => {
-                                let message = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|m| (*m).to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                                let mut f = lock_any(fails_mx);
-                                if f[s].is_none() {
-                                    f[s] = Some(StreamFail::Panicked(message));
-                                }
-                            }
-                        }
-                    }
-                    {
-                        let mut g = lock_any(sched_mx);
-                        g.inflight -= 1;
-                        if ok {
-                            for &(j, sj) in &dependents[id] {
-                                g.indegree[j] -= 1;
-                                if g.indegree[j] == 0 {
-                                    g.ready.insert((j, sj));
-                                }
-                            }
-                        } else {
-                            // The stream stalls: its un-run successors
-                            // stay blocked forever, and the pool drains
-                            // around them.
-                            g.dead[s] = true;
-                        }
-                        cond.notify_all();
-                    }
-                }
-            }));
-        }
-        drop(tx);
-
-        // ---- steal workers: CPU lanes for ready merge nodes ---------
-        // With `steal` on, pair/CPU merges leave the coordinator the
-        // moment their inputs exist and run here, overlapping the
-        // staging pipeline. The workers block on the shared task
-        // receiver (lock–recv–release: at most one waits while the
-        // rest merge) and exit when the task sender drops.
-        let steal_workers = if opts.steal { n_workers.clamp(1, 2) } else { 0 };
-        for _ in 0..steal_workers {
-            let done_tx = done_tx.clone();
-            let (task_rx, sched) = (&task_rx, &sched);
-            scope.spawn(move || loop {
-                let task = lock_any(task_rx).recv();
-                let Ok(t) = task else { return };
-                let mut out = vec![T::default(); t.out_elems];
-                let mut spans = Vec::new();
-                record_merge(
-                    &mut spans,
-                    t0,
-                    pair_class(t.cpu, t.slot),
-                    t.out_elems as f64 * plan.config.elem_bytes,
-                    || par_merge_into_cfg(sched, merge_threads, &t.left, &t.right, &mut out),
-                );
-                let _ = done_tx.send(MergeDone {
-                    slot: t.slot,
-                    out,
-                    spans,
-                });
-            });
-        }
-        drop(done_tx);
-
-        // ---- merge coordinator (this thread) ------------------------
-        let mut received = 0usize;
-        let mut pending_pairs: Vec<usize> = (0..plan.pairs.len()).collect();
-        let mut stolen_inflight = 0usize;
-        let land = |done: MergeDone<T>,
-                    pair_out: &mut Vec<Option<Vec<T>>>,
-                    merge_spans: &mut Vec<ObsSpan>| {
-            pair_out[done.slot] = Some(done.out);
-            merge_spans.extend(done.spans);
-        };
-        while received < nb {
-            // A disconnect means every worker is done (some possibly
-            // dead); fall through to the join pass to find out which.
-            let Ok((idx, buf)) = rx.recv() else { break };
-            sorted_batches[idx] = Some(buf);
-            received += 1;
-            if opts.steal {
-                stolen_inflight += dispatch_ready_pairs(
-                    plan,
-                    &cpu_slot,
-                    &sorted_batches,
-                    &pair_out,
-                    &mut pending_pairs,
-                    &task_tx,
-                );
-                // Opportunistically land finished merges; a landed
-                // Online/MergeTree output may unlock the next dispatch.
-                while let Ok(done) = done_rx.try_recv() {
-                    land(done, &mut pair_out, &mut merge_spans);
-                    stolen_inflight -= 1;
-                    stolen_inflight += dispatch_ready_pairs(
-                        plan,
-                        &cpu_slot,
-                        &sorted_batches,
-                        &pair_out,
-                        &mut pending_pairs,
-                        &task_tx,
-                    );
-                }
-            } else {
-                fire_ready_pairs(
-                    plan,
-                    &sched,
-                    merge_threads,
-                    &cpu_slot,
-                    &sorted_batches,
-                    &mut pair_out,
-                    &mut pending_pairs,
-                    t0,
-                    &mut merge_spans,
-                );
-            }
-        }
-        // Settle every dispatched merge before inspecting stream
-        // outcomes: pair_out must be complete for the recovery and
-        // final-merge phases (a chained merge may still dispatch here).
-        while stolen_inflight > 0 {
-            let Ok(done) = done_rx.recv() else { break };
-            land(done, &mut pair_out, &mut merge_spans);
-            stolen_inflight -= 1;
-            stolen_inflight += dispatch_ready_pairs(
-                plan,
-                &cpu_slot,
-                &sorted_batches,
-                &pair_out,
-                &mut pending_pairs,
-                &task_tx,
-            );
-        }
-        // No further steal dispatch (recovery merges run inline); let
-        // the steal workers drain and exit.
-        drop(task_tx);
-        for h in handles {
-            // Workers catch their own panics; a join error would mean a
-            // bug in the pool loop itself — surface it as a panic.
-            if h.join().is_err() {
-                return Err(HetSortError::Plan {
-                    reason: "dag pool worker died outside the node sandbox".to_string(),
-                });
-            }
-        }
-
-        // ---- collect per-stream outcomes (stream order, like the
-        // legacy per-worker join pass): clean streams contribute stats,
-        // logs and spans; failed streams contribute their fault.
-        let mut fails = lock_any(&fails_mx);
-        let mut first_err: Option<HetSortError> = None;
-        let mut first_panic: Option<HetSortError> = None;
         let mut newly_lost: Vec<usize> = Vec::new();
-        for s in 0..plan.total_streams {
-            match fails[s].take() {
-                None => {
-                    let mut slot = lock_any(&slots[s]);
-                    recovery.retries += slot.sx.stats.retries;
-                    recovery.degraded_batches += slot.sx.stats.degraded_batches;
-                    recovery.oom_replans += slot.sx.stats.oom_replans;
-                    pool_stats.absorb(slot.sx.pool.stats);
-                    stream_logs.push(std::mem::take(&mut slot.sx.access_log));
-                    metrics.record_all(std::mem::take(&mut slot.sx.span_log));
+        for (s, fail) in dead.into_iter().enumerate() {
+            match fail {
+                Some(StreamFail::Lost(gpu)) if !newly_lost.contains(&gpu) => newly_lost.push(gpu),
+                Some(StreamFail::Panicked(message)) if !cfg.recovery.cpu_fallback => {
+                    return Err(HetSortError::WorkerPanic { worker: s, message });
                 }
-                Some(StreamFail::Lost(gpu)) => {
-                    if !newly_lost.contains(&gpu) {
-                        newly_lost.push(gpu);
-                    }
-                }
-                Some(StreamFail::Typed(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Some(StreamFail::Panicked(message)) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(HetSortError::WorkerPanic { worker: s, message });
-                    }
-                }
+                _ => {}
             }
         }
-        drop(fails);
-        if let Some(e) = first_err {
-            return Err(e);
+        if newly_lost.is_empty() {
+            break;
         }
 
-        // ---- device-loss recovery: re-plan missing batches ----------
-        // Completed batches in `sorted_batches` are the checkpoint;
-        // each round lowers a survivor dag and runs a sequential
-        // mini-pass over only the still-missing batches. A further loss
-        // during recovery shrinks the pool again.
-        if !newly_lost.is_empty() {
-            let mut lost_gpus: BTreeSet<usize> = Default::default();
-            let mut cur_owned: Option<Plan> = None;
-            while !newly_lost.is_empty() {
-                let cur: &Plan = cur_owned.as_ref().unwrap_or(plan);
-                recovery.device_lost += newly_lost.len();
-                // Several devices can die inside one checkpoint window
-                // (one loss event per GPU, all observed at this join);
-                // attribute every casualty, not an arbitrary pick.
-                for &g in &newly_lost {
-                    recovery.record_lost_gpu(g);
-                }
-                recovery.batches_recomputed += sorted_batches
-                    .iter()
-                    .enumerate()
-                    .filter(|(b, sl)| {
-                        sl.is_none() && newly_lost.contains(&cur.physical_gpu(cur.batches[*b].gpu))
-                    })
-                    .count();
-                lost_gpus.extend(newly_lost.drain(..));
-                let missing = sorted_batches.iter().filter(|sl| sl.is_none()).count();
-                let t_fail = t0.elapsed().as_secs_f64();
-                match crate::recover::survivor_plan(plan, &lost_gpus)? {
-                    None => {
-                        // The typed error carries one representative id
-                        // (the smallest casualty); the span and the
-                        // RecoveryStats mask name the full set.
-                        let gpu = lost_gpus.iter().next().copied().unwrap_or(0);
-                        if !plan.config.recovery.cpu_fallback {
-                            return Err(HetSortError::DeviceLost { gpu });
-                        }
-                        for (b, slot) in sorted_batches.iter_mut().enumerate() {
-                            if slot.is_none() {
-                                let bi = &plan.batches[b];
-                                let mut buf = data[bi.start..bi.start + bi.len].to_vec();
-                                par_radix_sort_cfg(&sched, merge_threads, &mut buf);
-                                *slot = Some(buf);
-                                recovery.degraded_batches += 1;
-                            }
-                        }
-                        metrics.record(ObsSpan::new(
-                            OpClass::Other,
-                            format!(
-                                "failover: GPU(s) {} lost, no survivors → host sort of {missing} batch(es)",
-                                gpu_list(&lost_gpus)
-                            ),
-                            t_fail,
-                            t0.elapsed().as_secs_f64(),
-                        ));
-                    }
-                    Some(rp) => {
-                        recovery.replans += 1;
-                        metrics.record(ObsSpan::new(
-                            OpClass::Other,
-                            format!(
-                                "failover: re-plan {missing} batch(es) on {} device(s)",
-                                rp.device_ids.len()
-                            ),
-                            t_fail,
-                            t0.elapsed().as_secs_f64(),
-                        ));
-                        let rp_dag = PlanDag::from_plan(rp.clone());
-                        let mut sxs: Vec<StreamExec<T>> = (0..rp_dag.plan.total_streams)
-                            .map(|s| {
-                                StreamExec::new(
-                                    &rp_dag.plan,
-                                    data,
-                                    s,
-                                    merge_threads,
-                                    device_sort_threads,
-                                    t0,
-                                )
-                            })
-                            .collect();
-                        let mut partial: Vec<Vec<T>> = vec![Vec::new(); nb];
-                        let mut mini = ReadySet::new(&rp_dag, |_| true, TieBreak::MinId);
-                        'mini: while let Some(si) = mini.pop() {
-                            mini.complete(si);
-                            let node = &rp_dag.nodes[si];
-                            // Merges run on the coordinator once every
-                            // batch is back.
-                            let Some(s) = node.stream else { continue };
-                            if let Some(bi) = node.op.batch() {
-                                if sorted_batches[bi].is_some() {
-                                    continue;
-                                }
-                            }
-                            let r = sxs[s].step(si, &node.op, &mut |batch, _start, chunk| {
-                                partial[batch].extend_from_slice(chunk);
-                            });
-                            match r {
-                                Ok(()) => {}
-                                Err(HetSortError::DeviceLost { gpu }) => {
-                                    newly_lost.push(gpu);
-                                    break 'mini;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        for sx in &mut sxs {
-                            recovery.retries += sx.stats.retries;
-                            recovery.degraded_batches += sx.stats.degraded_batches;
-                            recovery.oom_replans += sx.stats.oom_replans;
-                            pool_stats.absorb(sx.pool.stats);
-                            metrics.record_all(std::mem::take(&mut sx.span_log));
-                        }
-                        for (b, buf) in partial.into_iter().enumerate() {
-                            if sorted_batches[b].is_none() && buf.len() == plan.batches[b].len {
-                                sorted_batches[b] = Some(buf);
-                            }
-                        }
-                        replans.push(rp_dag.plan.clone());
-                        cur_owned = Some(rp_dag.plan);
-                    }
-                }
-            }
-            fire_ready_pairs(
-                plan,
-                &sched,
-                merge_threads,
-                &cpu_slot,
-                &sorted_batches,
-                &mut pair_out,
-                &mut pending_pairs,
-                t0,
-                &mut merge_spans,
-            );
+        // Device fault domain: frozen batches are the checkpoint; the
+        // rest is re-planned over the survivors.
+        let cur = replans.last().unwrap_or(plan);
+        let tr = &mut tally.recovery;
+        tr.device_lost += newly_lost.len();
+        for &g in &newly_lost {
+            tr.record_lost_gpu(g);
         }
+        if opts.skip_checkpoint {
+            for b in &mut slots.batches {
+                b.sorted.take();
+            }
+        }
+        tr.batches_recomputed += (0..nb)
+            .filter(|&b| {
+                slots.missing(b) && newly_lost.contains(&cur.physical_gpu(cur.batches[b].gpu))
+            })
+            .count();
+        lost_gpus.extend(newly_lost);
+        // Partially staged-out batches are recomputed whole.
+        for b in &mut slots.batches {
+            lock_any(&b.filling).1 = 0;
+        }
+        let missing = (0..nb).filter(|&b| slots.missing(b)).count();
+        let t_fail = t0.elapsed().as_secs_f64();
+        let Some(rp) = crate::recover::survivor_plan(plan, &lost_gpus)? else {
+            if !cfg.recovery.cpu_fallback {
+                // One representative id (the smallest casualty); the
+                // span and the RecoveryStats mask name the full set.
+                let gpu = lost_gpus.iter().next().copied().unwrap_or(0);
+                return Err(HetSortError::DeviceLost { gpu });
+            }
+            tally.recovery.degraded_batches += host_sort_missing(&run, &mut slots);
+            tally.metrics.record(ObsSpan::new(
+                OpClass::Other,
+                format!(
+                    "failover: GPU(s) {} lost, no survivors → host sort of {missing} batch(es)",
+                    gpu_list(&lost_gpus)
+                ),
+                t_fail,
+                t0.elapsed().as_secs_f64(),
+            ));
+            break;
+        };
+        tally.recovery.replans += 1;
+        tally.metrics.record(ObsSpan::new(
+            OpClass::Other,
+            format!(
+                "failover: GPU(s) {} lost → re-plan {missing} batch(es) on {} device(s)",
+                gpu_list(&lost_gpus),
+                rp.device_ids.len()
+            ),
+            t_fail,
+            t0.elapsed().as_secs_f64(),
+        ));
+        let rp_dag = PlanDag::from_plan(rp);
+        let in_scope = |i: usize| {
+            let node = &rp_dag.nodes[i];
+            node.stream.is_some() && node.op.batch().is_none_or(|b| slots.missing(b))
+        };
+        dead = pass(&run, &rp_dag, in_scope, &slots, &mut tally)?.dead;
+        replans.push(rp_dag.plan);
+    }
+    // Dead streams under CPU fallback: host-sort what they never
+    // delivered, then run the merges their batches held up.
+    tally.recovery.degraded_batches += host_sort_missing(&run, &mut slots);
+    pass(
+        &run,
+        dag,
+        |i| slots.merge_pending(&dag.nodes[i].op),
+        &slots,
+        &mut tally,
+    )?;
 
-        if let Some(e) = first_panic {
-            if !plan.config.recovery.cpu_fallback {
-                return Err(e);
-            }
-            // Graceful degradation: host-sort whatever the dead
-            // stream(s) never delivered, straight from A.
-            for (b, slot) in sorted_batches.iter_mut().enumerate() {
-                if slot.is_none() {
-                    let bi = &plan.batches[b];
-                    let mut buf = data[bi.start..bi.start + bi.len].to_vec();
-                    par_radix_sort_cfg(&sched, merge_threads, &mut buf);
-                    *slot = Some(buf);
-                    recovery.degraded_batches += 1;
-                }
-            }
-            fire_ready_pairs(
-                plan,
-                &sched,
-                merge_threads,
-                &cpu_slot,
-                &sorted_batches,
-                &mut pair_out,
-                &mut pending_pairs,
-                t0,
-                &mut merge_spans,
-            );
-        }
-        if !pending_pairs.is_empty() {
-            return Err(HetSortError::MergeStall {
-                pending: pending_pairs.len(),
-            });
-        }
-
-        // ---- final merge --------------------------------------------
-        b_out = vec![T::default(); plan.n];
-        if nb == 1 {
-            let only = sorted_batches[0]
-                .as_deref()
-                .ok_or_else(|| HetSortError::Plan {
-                    reason: "batch 0 was never produced".to_string(),
-                })?;
-            b_out.copy_from_slice(only);
-        } else {
-            let mut lists: Vec<&[T]> = Vec::with_capacity(plan.multiway_k());
-            for (k, &src) in plan.final_inputs.iter().enumerate() {
-                let sl = src_slice(src, &sorted_batches, &pair_out).ok_or_else(|| {
-                    HetSortError::Plan {
-                        reason: format!("final merge input {k} was never produced"),
-                    }
-                })?;
-                lists.push(sl);
-            }
-            record_merge(
-                &mut merge_spans,
-                t0,
-                multiway_class(lists.len()),
-                plan.n as f64 * plan.config.elem_bytes,
-                || par_multiway_merge_into_cfg(&sched, merge_threads, &lists, &mut b_out),
-            );
-        }
-        Ok(())
+    let pending = slots.pairs.iter().filter(|p| p.get().is_none()).count();
+    if pending > 0 {
+        return Err(HetSortError::MergeStall { pending });
+    }
+    let sorted = if nb > 1 {
+        slots.out.take()
+    } else {
+        slots.batches.first_mut().and_then(|b| b.sorted.take())
+    }
+    .ok_or_else(|| HetSortError::Plan {
+        reason: "the sorted output was never produced".to_string(),
     })?;
 
-    recovery.faults_injected =
-        plan.config.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
-    let trace = plan
-        .config
-        .record_trace
-        .then(|| assemble_trace(dag, &stream_logs));
-    metrics.record_all(merge_spans);
+    let Tally {
+        mut recovery,
+        pool,
+        mut metrics,
+    } = tally;
+    recovery.faults_injected = cfg.faults.as_ref().map_or(0, |i| i.injected()) - injected_before;
+    let trace = cfg.record_trace.then(|| assemble_trace(dag, &logs));
     recovery.fold_into(&mut metrics);
-    pool_stats.fold_into(&mut metrics);
+    pool.fold_into(&mut metrics);
+
     let wall_s = t0.elapsed().as_secs_f64();
-    let verified = is_sorted(&b_out) && fingerprint(&b_out) == input_fp;
+    let verified = is_sorted(&sorted) && fingerprint(&sorted) == input_fp;
     Ok(RealOutcome {
-        sorted: b_out,
+        sorted,
         wall_s,
         verified,
         nb,
-        pair_merges: plan.pairs.len(),
+        pair_merges: slots.pairs.len(),
         recovery,
         trace,
         metrics,
@@ -1278,6 +783,17 @@ mod tests {
         PlanDag::from_plan(Plan::build(cfg, n).unwrap())
     }
 
+    fn with_workers(workers: usize) -> DagExecOptions {
+        DagExecOptions {
+            workers,
+            ..Default::default()
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn tie_break_permutation_preserves_output() {
         let d = data(24_000, 17);
@@ -1301,27 +817,20 @@ mod tests {
         )
         .unwrap();
         assert!(min.verified && max.verified);
-        assert_eq!(
-            min.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            max.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&min.sorted), bits(&max.sorted));
     }
 
     #[test]
-    fn pooled_worker_counts_agree() {
+    fn worker_counts_agree() {
         let n = 30_000;
         let d = data(n, 3);
         let mut expect = d.clone();
         introsort(&mut expect);
         let g = dag(Approach::PipeMerge, 4_000, 800, n);
         for workers in [1usize, 2, 3, 8] {
-            let out = execute_dag_pooled(&g, &d, workers).unwrap();
+            let out = execute_dag_opts(&g, &d, with_workers(workers)).unwrap();
             assert!(out.verified, "workers={workers}");
-            assert_eq!(
-                out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "workers={workers}"
-            );
+            assert_eq!(bits(&out.sorted), bits(&expect), "workers={workers}");
         }
     }
 
@@ -1347,68 +856,55 @@ mod tests {
         assert!(classes.contains(&"CpuMerge"), "{classes:?}");
         let mut expect = d.clone();
         introsort(&mut expect);
-        assert_eq!(
-            out.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&out.sorted), bits(&expect));
     }
 
     #[test]
-    fn stealing_is_observationally_invisible() {
+    fn worker_count_is_observationally_invisible() {
         use crate::config::HybridMode;
         use std::collections::BTreeMap;
         let n = 30_000;
         let d = data(n, 21);
+        // Span multisets (class × label), CpuPart excluded: the
+        // per-worker breakdown of a parallel merge is structure, not
+        // schedule.
+        let multiset = |out: &RealOutcome<f64>| {
+            let mut m: BTreeMap<(String, String), usize> = BTreeMap::new();
+            for s in out.metrics.spans() {
+                if s.class.name() == "CpuPart" {
+                    continue;
+                }
+                *m.entry((s.class.name().to_string(), s.label.clone()))
+                    .or_insert(0) += 1;
+            }
+            m
+        };
         for hybrid in [HybridMode::Off, HybridMode::Fraction(0.5), HybridMode::Auto] {
             let cfg = HetSortConfig::paper_defaults(platform1(), Approach::PipeMerge)
                 .with_batch_elems(4_000)
                 .with_pinned_elems(800)
                 .with_hybrid(hybrid);
             let g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
-            let run = |steal: bool| {
-                execute_dag_pooled_opts(
-                    &g,
-                    &d,
-                    3,
-                    DagExecOptions {
-                        steal,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            };
-            let twin = run(false);
-            let stolen = run(true);
-            assert!(twin.verified && stolen.verified, "{hybrid:?}");
-            assert_eq!(
-                twin.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                stolen
-                    .sorted
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "{hybrid:?}: steal changed the output"
-            );
-            assert_eq!(twin.recovery, stolen.recovery, "{hybrid:?}");
-            // Span multisets (class × label), CpuPart excluded: the
-            // per-worker breakdown of a parallel merge is structure,
-            // not schedule.
-            let multiset = |out: &RealOutcome<f64>| {
-                let mut m: BTreeMap<(String, String), usize> = BTreeMap::new();
-                for s in out.metrics.spans() {
-                    if s.class.name() == "CpuPart" {
-                        continue;
-                    }
-                    *m.entry((s.class.name().to_string(), s.label.clone()))
-                        .or_insert(0) += 1;
-                }
-                m
-            };
-            assert_eq!(
-                multiset(&twin),
-                multiset(&stolen),
-                "{hybrid:?}: steal changed the span multiset"
-            );
+            let inline = execute_dag(&g, &d).unwrap();
+            assert!(inline.verified, "{hybrid:?}");
+            for workers in [2, 3, g.plan.total_streams + 1] {
+                let out = execute_dag_opts(&g, &d, with_workers(workers)).unwrap();
+                assert!(out.verified, "{hybrid:?} workers={workers}");
+                assert_eq!(
+                    bits(&inline.sorted),
+                    bits(&out.sorted),
+                    "{hybrid:?} workers={workers}: output changed"
+                );
+                assert_eq!(
+                    inline.recovery, out.recovery,
+                    "{hybrid:?} workers={workers}"
+                );
+                assert_eq!(
+                    multiset(&inline),
+                    multiset(&out),
+                    "{hybrid:?} workers={workers}: span multiset changed"
+                );
+            }
         }
     }
 
@@ -1421,55 +917,45 @@ mod tests {
         // name *both* casualties — not just the first one noticed.
         let n = 24_000;
         let d = data(n, 33);
-        let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
-            .with_batch_elems(3_000)
-            .with_pinned_elems(600)
-            .with_faults(Arc::new(
-                FaultInjector::new().lose_device(0, 2).lose_device(1, 3),
-            ));
-        let g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
-        let out = execute_dag_pooled(&g, &d, 2).unwrap();
-        assert!(out.verified, "host fallback still sorts");
-        assert_eq!(out.recovery.device_lost, 2, "{}", out.recovery.summary());
-        assert_eq!(
-            out.recovery.lost_gpus(),
-            vec![0, 1],
-            "both casualties must be in the mask: {}",
-            out.recovery.summary()
-        );
-        // The no-survivor failover span names every lost device.
-        assert!(
-            out.metrics
-                .spans()
-                .iter()
-                .any(|s| s.label.contains("GPU(s) 0, 1 lost")),
-            "failover span must list both GPUs: {:?}",
-            out.metrics
-                .spans()
-                .iter()
-                .filter(|s| s.label.contains("failover"))
-                .map(|s| &s.label)
-                .collect::<Vec<_>>()
-        );
-        // The sequential engine attributes identically.
-        let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
-            .with_batch_elems(3_000)
-            .with_pinned_elems(600)
-            .with_faults(Arc::new(
-                FaultInjector::new().lose_device(0, 2).lose_device(1, 3),
-            ));
-        let g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
-        let seq = execute_dag(&g, &d).unwrap();
-        assert_eq!(seq.recovery.lost_gpus(), vec![0, 1]);
+        for workers in [1, 2] {
+            let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
+                .with_batch_elems(3_000)
+                .with_pinned_elems(600)
+                .with_faults(Arc::new(
+                    FaultInjector::new().lose_device(0, 2).lose_device(1, 3),
+                ));
+            let g = PlanDag::from_plan(Plan::build(cfg, n).unwrap());
+            let out = execute_dag_opts(&g, &d, with_workers(workers)).unwrap();
+            assert!(out.verified, "host fallback still sorts");
+            assert_eq!(out.recovery.device_lost, 2, "{}", out.recovery.summary());
+            assert_eq!(
+                out.recovery.lost_gpus(),
+                vec![0, 1],
+                "workers={workers}: both casualties must be in the mask: {}",
+                out.recovery.summary()
+            );
+            // The no-survivor failover span names every lost device.
+            assert!(
+                out.metrics
+                    .spans()
+                    .iter()
+                    .any(|s| s.label.contains("GPU(s) 0, 1 lost")),
+                "workers={workers}: failover span must list both GPUs: {:?}",
+                out.metrics
+                    .spans()
+                    .iter()
+                    .filter(|s| s.label.contains("failover"))
+                    .map(|s| &s.label)
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
-    fn misbound_streams_are_rejected_by_both_engines() {
-        // A binding past the plan's streams would index past both
-        // engines' per-stream state (a pooled worker would panic outside
-        // its sandbox and stall the pool); a missing one has no stream
-        // state to run on. Validation must reject both before any node
-        // runs.
+    fn misbound_streams_are_rejected_at_every_worker_count() {
+        // A binding past the plan's streams would index past the
+        // per-stream state; a missing one has no stream state to run
+        // on. Validation must reject both before any node runs.
         let d = data(6_000, 5);
         let base = dag(Approach::PipeMerge, 1_000, 250, 6_000);
         let last = base.plan.total_streams - 1;
@@ -1480,8 +966,8 @@ mod tests {
                     node.stream = rebound;
                 }
             }
-            for r in [execute_dag(&g, &d), execute_dag_pooled(&g, &d, 2)] {
-                match r {
+            for workers in [1, 2] {
+                match execute_dag_opts(&g, &d, with_workers(workers)) {
                     Err(HetSortError::Plan { reason }) => {
                         assert!(reason.starts_with("stream-binding:"), "{reason}")
                     }

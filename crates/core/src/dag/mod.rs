@@ -14,12 +14,12 @@
 //!   mutation kill suite can assert which rule caught which defect —
 //!   residency is re-checked by `hetsort-analyze`, which owns the
 //!   platform budget model;
-//! * [`ReadySet`] is the one scheduling structure all engines share:
-//!   pop any ready node, deterministically ([`TieBreak::MinId`] is the
+//! * [`ReadySet`] is the one scheduling structure: every worker of the
+//!   engine pops any ready node from one shared set, deterministically ([`TieBreak::MinId`] is the
 //!   documented default — over a backward-dependency dag it reproduces
 //!   the submission order exactly).
 //!
-//! The engines themselves live in [`exec`]; defect constructors for the
+//! The engine itself lives in [`exec`]; defect constructors for the
 //! kill suite live in [`mutate`].
 
 pub mod exec;
@@ -610,7 +610,7 @@ impl PlanDag {
     }
 
     /// The full deterministic execution order under `tie` — what the
-    /// engines follow, exposed for the CLI and equivalence tests.
+    /// engine follows at one worker, exposed for the CLI and equivalence tests.
     ///
     /// # Errors
     ///
@@ -650,8 +650,8 @@ impl PlanDag {
 /// The shared scheduling structure: indegree tracking plus a ready set
 /// popped in deterministic [`TieBreak`] order. `in_scope` restricts the
 /// set to a subgraph (e.g. stream nodes only); dependencies on
-/// out-of-scope nodes are treated as satisfied — the engines guarantee
-/// them by phase ordering.
+/// out-of-scope nodes are treated as satisfied — the engine guarantees
+/// them by pass ordering.
 pub struct ReadySet {
     indegree: Vec<usize>,
     dependents: Vec<Vec<usize>>,

@@ -13,8 +13,9 @@
 //! cannot see by design — they live in the lowered event semantics)
 //! rewrite an [`OpTrace`] via [`DagMutant::apply_trace`]; and
 //! [`DagMutant::SkipCheckpoint`] is an *engine* defect enabled through
-//! [`crate::dag::exec::DagExecOptions`], killed differentially by
-//! comparing [`crate::report::RecoveryStats`].
+//! [`crate::dag::exec::DagExecOptions::skip_checkpoint`] (at any worker
+//! count), killed differentially by comparing
+//! [`crate::report::RecoveryStats`].
 
 use hetsort_sim::optrace::{OpTrace, TraceKind};
 
@@ -50,8 +51,8 @@ pub enum DagMutant {
     /// Hoist a buffer's `Free` above its last reader.
     FreeBeforeLastReader,
     /// Rebind every node of the last stream to a stream the plan does
-    /// not have (`total_streams + 7`): the engines would index past
-    /// their per-stream state.
+    /// not have (`total_streams + 7`): the engine would index past its
+    /// per-stream state.
     RebindStream,
 }
 

@@ -72,16 +72,16 @@ pub enum HetSortError {
         /// platform).
         gpu: usize,
     },
-    /// A stream worker thread panicked.
+    /// A DAG node panicked and no CPU fallback covered it.
     WorkerPanic {
-        /// Worker (stream) index.
+        /// The stream whose node panicked, or for a merge node the
+        /// engine worker that ran it.
         worker: usize,
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The merge coordinator ran out of batches with pair merges still
-    /// waiting on inputs (a plan/executor bug, surfaced rather than
-    /// deadlocking).
+    /// The engine drained with pair merges that never ran (a
+    /// plan/executor bug, surfaced rather than deadlocking).
     MergeStall {
         /// Pair merges never fired.
         pending: usize,

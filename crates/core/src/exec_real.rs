@@ -1,12 +1,16 @@
 //! Functional execution: run the *same* plan on real data.
 //!
-//! This module owns the sequential entry points ([`sort_real`],
-//! [`sort_real_plan`]) and the shared [`RealOutcome`] result type; the
-//! actual interpretation is the unified DAG engine in
-//! [`crate::dag::exec`]. A plan is lowered to a [`crate::dag::PlanDag`]
-//! (typed ops + explicit dependency edges), validated, and executed by
-//! [`crate::dag::exec::execute_dag`] in deterministic min-node-id ready
-//! order, which is the lowering's submission order.
+//! This module owns the plan-level entry points ([`sort_real`],
+//! [`sort_real_plan`], [`sort_real_parallel`]) and the shared
+//! [`RealOutcome`] result type; the interpretation itself is the one
+//! DAG engine in [`crate::dag::exec`]. A plan is lowered to a
+//! [`crate::dag::PlanDag`] (typed ops + explicit dependency edges),
+//! validated, and executed by [`crate::dag::exec::execute_dag_opts`]:
+//! the sequential entry points run one worker on the calling thread in
+//! deterministic min-node-id ready order (the lowering's submission
+//! order); [`sort_real_parallel`] runs the same loop on a worker per
+//! stream plus one, the way the paper's implementation overlaps
+//! staging, device sorts and pair merges.
 //!
 //! Stream-bound ops run through [`crate::exec_stream::StreamExec`],
 //! which implements the failure model: injected faults, bounded
@@ -24,6 +28,7 @@ use hetsort_obs::{MetricsRegistry, ObsSpan, OpClass};
 use hetsort_sim::{Access, OpTrace};
 
 use crate::config::HetSortConfig;
+use crate::dag::exec::{execute_dag, execute_dag_opts, DagExecOptions};
 use crate::dag::PlanDag;
 use crate::error::HetSortError;
 use crate::optrace::trace_dag_with_accesses;
@@ -117,12 +122,39 @@ where
 /// [`HetSortError::Data`] on plan/data mismatches; typed fault errors
 /// ([`HetSortError::GpuOom`], [`HetSortError::TransferFault`],
 /// [`HetSortError::DeviceSortFault`]) when the recovery policy does not
-/// absorb an injected fault.
+/// absorb an injected fault; [`HetSortError::DeviceLost`] when no device
+/// survives and CPU fallback is off; [`HetSortError::WorkerPanic`] when
+/// a stream worker dies and CPU fallback is off.
 pub fn sort_real_plan<T>(plan: &Plan, data: &[T]) -> Result<RealOutcome<T>, HetSortError>
 where
     T: RadixKey + SortOrd + Default,
 {
-    crate::dag::exec::execute_dag(&PlanDag::from_plan(plan.clone()), data)
+    execute_dag(&PlanDag::from_plan(plan.clone()), data)
+}
+
+/// Sort `data` by executing the plan on `plan.total_streams + 1` engine
+/// workers: one per stream, plus one, so a pair merge can run while
+/// every stream stays busy.
+///
+/// Produces bit-identical output to [`sort_real_plan`] (the data path
+/// is deterministic; only wall-clock interleaving differs). With a
+/// fault injector armed, global occurrence counters are still exact,
+/// but *which* stream observes an occurrence depends on interleaving —
+/// concurrent fault tests should use single-stream configs or
+/// worker-addressed panics.
+///
+/// # Errors
+///
+/// As [`sort_real_plan`].
+pub fn sort_real_parallel<T>(plan: &Plan, data: &[T]) -> Result<RealOutcome<T>, HetSortError>
+where
+    T: RadixKey + SortOrd + Default,
+{
+    let opts = DagExecOptions {
+        workers: plan.total_streams + 1,
+        ..DagExecOptions::default()
+    };
+    execute_dag_opts(&PlanDag::from_plan(plan.clone()), data, opts)
 }
 
 #[cfg(test)]
@@ -292,5 +324,117 @@ mod tests {
             sort_real_plan(&plan, &data(4_999, 1)),
             Err(HetSortError::Data { .. })
         ));
+    }
+
+    fn check_parallel_equivalence(cfg: HetSortConfig, n: usize) {
+        let d = data(n, 77);
+        let plan = Plan::build(cfg, n).expect("plan");
+        let seq = sort_real_plan(&plan, &d).expect("sequential");
+        let par = sort_real_parallel(&plan, &d).expect("parallel");
+        assert!(seq.verified && par.verified);
+        assert_eq!(
+            par.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            seq.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(par.nb, seq.nb);
+        assert_eq!(par.pair_merges, seq.pair_merges);
+        assert!(!par.recovery.any());
+    }
+
+    #[test]
+    fn parallel_matches_sequential_for_all_approaches() {
+        for approach in [
+            Approach::BLineMulti,
+            Approach::PipeData,
+            Approach::PipeMerge,
+        ] {
+            check_parallel_equivalence(cfg(approach, 5_000, 1_000), 42_000);
+        }
+    }
+
+    #[test]
+    fn parallel_matches_sequential_on_multi_gpu() {
+        let cfg = HetSortConfig::paper_defaults(platform2(), Approach::PipeMerge)
+            .with_batch_elems(4_000)
+            .with_pinned_elems(700);
+        check_parallel_equivalence(cfg, 37_123);
+    }
+
+    #[test]
+    fn parallel_matches_sequential_for_rejected_strategies() {
+        use crate::config::PairStrategy;
+        for strategy in [PairStrategy::Online, PairStrategy::MergeTree] {
+            let cfg = cfg(Approach::PipeMerge, 3_000, 500).with_pair_strategy(strategy);
+            check_parallel_equivalence(cfg, 25_000);
+        }
+    }
+
+    #[test]
+    fn parallel_single_batch_bline() {
+        check_parallel_equivalence(cfg(Approach::BLine, 8_000, 1_000), 8_000);
+    }
+
+    #[test]
+    fn parallel_ragged_sizes() {
+        check_parallel_equivalence(cfg(Approach::PipeMerge, 1_234, 100), 9_999);
+    }
+
+    #[test]
+    fn parallel_length_mismatch_rejected() {
+        let plan = Plan::build(cfg(Approach::BLineMulti, 1_000, 100), 5_000).unwrap();
+        assert!(matches!(
+            sort_real_parallel(&plan, &data(4_000, 1)),
+            Err(HetSortError::Data { .. })
+        ));
+    }
+
+    /// PIPEDATA (9 batches) with stream worker 0 panicking at its first
+    /// batch, through one worker and through one per stream plus one —
+    /// each run on a fresh injector.
+    fn panic_runs(policy: crate::config::RecoveryPolicy) -> Vec<Result<RealOutcome, HetSortError>> {
+        use hetsort_vgpu::FaultInjector;
+        use std::sync::Arc;
+        let n = 42_000;
+        let d = data(n, 5);
+        let plan = || {
+            let inj = Arc::new(FaultInjector::new().panic_worker(0, 1));
+            let c = cfg(Approach::PipeData, 5_000, 1_000)
+                .with_recovery(policy)
+                .with_faults(inj);
+            Plan::build(c, n).unwrap()
+        };
+        vec![sort_real_plan(&plan(), &d), sort_real_parallel(&plan(), &d)]
+    }
+
+    #[test]
+    fn worker_panic_degrades_gracefully() {
+        for (workers, out) in ["1", "streams + 1"]
+            .into_iter()
+            .zip(panic_runs(Default::default()))
+        {
+            let out = out.unwrap();
+            assert!(
+                out.verified,
+                "workers={workers}: must recover from a dead worker"
+            );
+            assert!(
+                out.recovery.degraded_batches >= 1,
+                "workers={workers}: {}",
+                out.recovery.summary()
+            );
+            assert_eq!(out.recovery.faults_injected, 1, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn worker_panic_without_fallback_is_typed() {
+        let runs = panic_runs(crate::config::RecoveryPolicy::none());
+        for (workers, r) in ["1", "streams + 1"].into_iter().zip(runs) {
+            let err = r.unwrap_err();
+            assert!(
+                matches!(err, HetSortError::WorkerPanic { worker: 0, .. }),
+                "workers={workers}: expected WorkerPanic, got {err:?}"
+            );
+        }
     }
 }

@@ -1,10 +1,9 @@
-//! The per-stream op interpreter shared by both functional engines.
+//! The per-stream op interpreter of the DAG engine.
 //!
-//! The sequential engine ([`crate::dag::exec::execute_dag`]) drives one
-//! [`StreamExec`] per stream from a single thread; the pooled engine
-//! ([`crate::dag::exec::execute_dag_pooled`]) hands each stream's
-//! interpreter to whichever worker pops that stream's next ready node.
-//! Either way, the stream-bound [`DagOp`]s (staging copies, transfers,
+//! The engine ([`crate::dag::exec::execute_dag_opts`]) keeps one
+//! [`StreamExec`] per stream and hands it to whichever worker pops that
+//! stream's next ready node (the calling thread, at one worker). The
+//! stream-bound [`DagOp`]s (staging copies, transfers,
 //! device sorts) run through this interpreter, which owns the stream's
 //! pinned and device buffers and implements the whole failure model:
 //!

@@ -19,15 +19,17 @@
 //! * [`exec_sim`] maps it onto the calibrated [`hetsort_vgpu::Machine`]
 //!   and returns a [`report::TimingReport`] (paper-scale timing);
 //! * [`exec_real`] executes it on actual `f64` data — staging copies,
-//!   device-resident radix sorts, pair and multiway merges — and
-//!   verifies the output (laptop-scale functional truth).
+//!   device-resident radix sorts, pair and multiway merges — through
+//!   the one DAG engine ([`dag::exec::execute_dag_opts`], one worker on
+//!   the calling thread or several), and verifies the output
+//!   (laptop-scale functional truth).
 //!
 //! This split is the substitution strategy for the missing GPU: pipeline
 //! *semantics* are executed for real, pipeline *durations* come from the
 //! calibrated simulator. See `DESIGN.md`.
 //!
 //! Every fallible API returns a typed [`error::HetSortError`]; the
-//! functional executors additionally implement the failure model of
+//! functional engine additionally implement the failure model of
 //! `DESIGN.md` ("Failure model & recovery") — deterministic fault
 //! injection via [`hetsort_vgpu::FaultInjector`], bounded transfer
 //! retries, OOM batch splitting, and CPU-fallback degradation governed
@@ -43,7 +45,6 @@ pub mod config;
 pub mod dag;
 pub mod error;
 pub mod exec_real;
-pub mod exec_real_mt;
 pub mod exec_sim;
 pub(crate) mod exec_stream;
 pub mod optrace;
@@ -58,13 +59,10 @@ pub use config::{
     Approach, CpuSched, DeviceSortKind, HetSortConfig, HybridMode, PairStrategy, RecoveryPolicy,
     StagingMode, SUPPORTED_ELEM_BYTES,
 };
-pub use dag::exec::{
-    execute_dag, execute_dag_opts, execute_dag_pooled, execute_dag_pooled_opts, DagExecOptions,
-};
+pub use dag::exec::{execute_dag, execute_dag_opts, DagExecOptions};
 pub use dag::{DagNode, DagOp, PlanDag, ReadySet, TieBreak};
 pub use error::HetSortError;
-pub use exec_real::{sort_real, RealOutcome};
-pub use exec_real_mt::sort_real_parallel;
+pub use exec_real::{sort_real, sort_real_parallel, RealOutcome};
 pub use exec_sim::{simulate, simulate_dag};
 pub use plan::Plan;
 pub use plan_builders::build_dag;

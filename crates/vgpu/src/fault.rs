@@ -9,7 +9,7 @@
 //!
 //! Determinism: the schedule never changes after construction, and each
 //! site's counter is a single atomic, so a single-threaded executor
-//! replays identically. In the multi-threaded executor, counters are
+//! replays identically. With several engine workers, counters are
 //! still exact (atomic), but *which* stream observes a given occurrence
 //! depends on interleaving — schedules for concurrent tests should
 //! either target worker-addressed faults ([`FaultInjector::panic_worker`])
@@ -139,8 +139,8 @@ impl FaultInjector {
         self.arm(FaultSite::DeviceSort, nth)
     }
 
-    /// Panic `worker` (0-based) when it starts its `nth_batch`-th batch
-    /// (1-based). Only the multi-threaded executor honours this.
+    /// Panic `worker` (0-based; the DAG engine's stream index) when it
+    /// starts its `nth_batch`-th batch (1-based).
     pub fn panic_worker(mut self, worker: usize, nth_batch: usize) -> Self {
         self.panics.push((worker, nth_batch.max(1)));
         self
@@ -174,7 +174,8 @@ impl FaultInjector {
     ///
     /// # Errors
     ///
-    /// [`CudaError::BadFaultSpec`] on unknown sites or malformed counts.
+    /// [`CudaError::BadFaultSpec`] on unknown sites, malformed ids, or
+    /// counts that are not positive integers.
     pub fn parse(spec: &str) -> Result<Self, CudaError> {
         let mut inj = FaultInjector::new();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -185,9 +186,16 @@ impl FaultInjector {
             let (site, arg) = part
                 .split_once(':')
                 .ok_or_else(|| bad("expected site:count"))?;
+            // Worker and GPU ids are 0-based; counts are 1-based.
+            let id = |s: &str| {
+                s.parse::<usize>()
+                    .map_err(|_| bad("id must be a non-negative integer"))
+            };
             let nth = |s: &str| {
                 s.parse::<usize>()
-                    .map_err(|_| bad("count must be a positive integer"))
+                    .ok()
+                    .filter(|&k| k > 0)
+                    .ok_or_else(|| bad("count must be a positive integer"))
             };
             inj = match site {
                 "oom" | "alloc" => inj.oom_on_alloc(nth(arg)?),
@@ -198,19 +206,19 @@ impl FaultInjector {
                     let (w, b) = arg
                         .split_once('@')
                         .ok_or_else(|| bad("expected panic:worker@batch"))?;
-                    inj.panic_worker(nth(w)?, nth(b)?)
+                    inj.panic_worker(id(w)?, nth(b)?)
                 }
                 "lose" => {
                     let (g, n) = arg
                         .split_once('@')
                         .ok_or_else(|| bad("expected lose:gpu@op"))?;
-                    inj.lose_device(nth(g)?, nth(n)?)
+                    inj.lose_device(id(g)?, nth(n)?)
                 }
                 "join" => {
                     let (g, n) = arg
                         .split_once('@')
                         .ok_or_else(|| bad("expected join:gpu@op"))?;
-                    inj.join_device(nth(g)?, nth(n)?)
+                    inj.join_device(id(g)?, nth(n)?)
                 }
                 _ => return Err(bad("unknown site (oom|htod|dtoh|sort|panic|lose|join)")),
             };
@@ -343,6 +351,15 @@ impl FaultInjector {
         self.lose_sched.iter().map(|&(gpu, _)| gpu).collect()
     }
 
+    /// Every GPU a loss or join event names, so a caller that knows the
+    /// platform can reject events on devices it does not have.
+    pub fn pool_event_gpus(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lose_sched
+            .iter()
+            .chain(&self.join_sched)
+            .map(|&(gpu, _)| gpu)
+    }
+
     /// Record one occurrence of `site`; `Some(occurrence)` if the
     /// schedule fails this one.
     pub fn trip(&self, site: FaultSite) -> Option<usize> {
@@ -428,6 +445,18 @@ mod tests {
             FaultInjector::parse("panic:1"),
             Err(CudaError::BadFaultSpec { .. })
         ));
+        // Counts are 1-based: a zero count or batch number means nothing.
+        for zero in ["htod:0", "dtoh:0", "oom:0", "sort:0", "panic:0@0"] {
+            assert!(
+                matches!(
+                    FaultInjector::parse(zero),
+                    Err(CudaError::BadFaultSpec { .. })
+                ),
+                "{zero} must be rejected"
+            );
+        }
+        // Worker ids are 0-based.
+        assert!(FaultInjector::parse("panic:0@1").unwrap().should_panic(0));
     }
 
     #[test]
@@ -505,6 +534,20 @@ mod tests {
             FaultInjector::parse("lose:1"),
             Err(CudaError::BadFaultSpec { .. })
         ));
+        // Op numbers are 1-based; GPU ids are 0-based.
+        for zero in ["lose:1@0", "join:1@0"] {
+            assert!(
+                matches!(
+                    FaultInjector::parse(zero),
+                    Err(CudaError::BadFaultSpec { .. })
+                ),
+                "{zero} must be rejected"
+            );
+        }
+        assert_eq!(
+            FaultInjector::parse("lose:0@1").unwrap().scheduled_losses(),
+            vec![0]
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use hetsort_core::{
     Approach, CpuSched, HetSortConfig, HetSortError, HybridMode, PairStrategy, RecoveryPolicy,
 };
-use hetsort_vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
+use hetsort_vgpu::{platform1, platform2, CudaError, FaultInjector, PlatformSpec};
 
 /// Errors from the CLI layer.
 #[derive(Debug)]
@@ -253,6 +253,17 @@ impl RunArgs {
         cfg = cfg.with_recovery(policy);
         if let Some(spec) = &self.faults {
             let inj = FaultInjector::parse(spec).map_err(HetSortError::from)?;
+            let n_gpus = cfg.platform.n_gpus();
+            if let Some(gpu) = inj.pool_event_gpus().find(|&g| g >= n_gpus) {
+                return Err(HetSortError::from(CudaError::BadFaultSpec {
+                    spec: spec.clone(),
+                    reason: format!(
+                        "GPU {gpu} does not exist on {} ({n_gpus} GPU(s))",
+                        cfg.platform.name
+                    ),
+                })
+                .into());
+            }
             cfg = cfg.with_faults(Arc::new(inj));
         }
         Ok(cfg)
@@ -535,10 +546,11 @@ FAULT INJECTION (sort only):
                      oom:K fails the K-th device allocation, htod:K /
                      dtoh:K the K-th transfer, sort:K the K-th device
                      sort, panic:W@K kills stream worker W at its K-th
-                     batch (parallel executor only), lose:G@N loses
-                     GPU G at its N-th device op (persistent; the
-                     executors re-plan onto the survivors), join:G@N
-                     revives it at the N-th global op
+                     batch, lose:G@N loses GPU G at its N-th device op
+                     (persistent; the engine re-plans onto the
+                     survivors), join:G@N revives it at the N-th
+                     global op; counts start at 1, ids at 0, and G
+                     must exist on the platform
   --retries K        retry budget for transient transfer faults (default 2)
   --no-cpu-fallback  fail with a typed error instead of degrading a
                      broken batch to a host-side sort
@@ -626,6 +638,22 @@ mod tests {
         let mut bad = r.clone();
         bad.faults = Some("gpu:1".into());
         assert!(matches!(bad.config(), Err(CliError::Run(_))));
+        // A zero count names no occurrence at all.
+        bad.faults = Some("htod:0".into());
+        assert!(matches!(bad.config(), Err(CliError::Run(_))));
+        // Pool events must name a GPU the platform has: p1 has one.
+        for spec in ["lose:5@1", "lose:1@1", "join:1@3"] {
+            bad.faults = Some(spec.into());
+            assert!(
+                matches!(bad.config(), Err(CliError::Run(_))),
+                "{spec} must be rejected on p1"
+            );
+        }
+        bad.faults = Some("lose:0@1".into());
+        assert!(bad.config().is_ok());
+        bad.platform = "p2".into();
+        bad.faults = Some("lose:1@1,join:1@3".into());
+        assert!(bad.config().is_ok());
     }
 
     #[test]

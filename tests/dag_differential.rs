@@ -1,19 +1,22 @@
-//! Hybrid differential suite: every execution mode of the unified
+//! Hybrid differential suite: every execution mode of the one
 //! [`PlanDag`] engine must agree on the data.
 //!
 //! The modes under test are the cross product of hybrid lowering
 //! ([`HybridMode::Off`] / `Fraction` / `Auto` — which re-types trailing
 //! or cost-model-selected pair merges to [`DagOp::CpuMerge`] nodes) and
-//! engine (sequential interpreter, pooled, pooled with CPU/GPU work
-//! stealing). The contract:
+//! worker count (one worker on the calling thread, and one worker per
+//! stream plus one). The contract:
 //!
 //! * **Output** is bitwise identical across all modes and equal to the
-//!   reference CPU sort — hybrid routing and stealing change *where* a
-//!   merge runs, never what it computes.
-//! * **`steal=on` vs `steal=off`** in the pooled engine additionally
-//!   agree on recovery stats and the span multiset (class × label):
-//!   stolen merges are pure functions of their inputs, so the
-//!   observable schedule is the deterministic twin's.
+//!   reference CPU sort — hybrid routing and worker count change
+//!   *where* a merge runs, never what it computes.
+//! * **Fault-free runs** additionally agree across worker counts on
+//!   recovery stats and the span multiset (class × label): a node's
+//!   work and its record do not depend on which worker ran it. Under
+//!   fault injection, which stream observes an occurrence depends on
+//!   interleaving once there are several workers, so there only the
+//!   injected-fault count and the lost devices are pinned beside the
+//!   data.
 //! * Hybrid dags — including the all-CPU `Fraction(1.0)` extreme —
 //!   pass [`analyze_dag`] with zero findings: the re-typed nodes keep
 //!   the validator's producer keys and the lowered trace's sync edges.
@@ -36,8 +39,7 @@ use hetsort::algos::keys::{KeyValue, RadixKey, SortOrd};
 use hetsort::analyze::analyze_dag;
 use hetsort::core::exec_real::{sort_real_plan, RealOutcome};
 use hetsort::core::{
-    execute_dag_pooled_opts, Approach, DagExecOptions, DagOp, HetSortConfig, HybridMode, Plan,
-    PlanDag,
+    execute_dag_opts, Approach, DagExecOptions, DagOp, HetSortConfig, HybridMode, Plan, PlanDag,
 };
 use hetsort::obs::{MetricsRegistry, OpClass};
 use hetsort::vgpu::{platform1, platform2, FaultInjector, PlatformSpec};
@@ -99,10 +101,10 @@ fn hybrid_modes() -> [(&'static str, HybridMode); 3] {
     ]
 }
 
-/// Run one config through the sequential engine and the pooled engine
-/// with stealing off and on, cross-check the three, and return the
-/// sequential outcome. `mk` builds the config from scratch each time so
-/// per-run fault-injector state never leaks between executions.
+/// Run one config through the engine on one worker and on one worker
+/// per stream plus one, cross-check the two, and return the one-worker
+/// outcome. `mk` builds the config from scratch each time so per-run
+/// fault-injector state never leaks between executions.
 fn check_modes<T>(label: &str, mk: &dyn Fn() -> HetSortConfig, data: &[T]) -> RealOutcome<T>
 where
     T: RadixKey + SortOrd + Default + Bits,
@@ -111,58 +113,66 @@ where
         Plan::build(mk().with_trace_recording(), data.len())
             .unwrap_or_else(|e| panic!("{label}: plan: {e}"))
     };
-    let seq = sort_real_plan(&plan(), data).unwrap_or_else(|e| panic!("{label}: seq: {e}"));
+    let inline =
+        sort_real_plan(&plan(), data).unwrap_or_else(|e| panic!("{label}: workers=1: {e}"));
 
-    let pooled = |steal: bool| {
-        let p = plan();
-        let workers = p.total_streams.max(1);
-        let dag = PlanDag::from_plan(p);
-        let opts = DagExecOptions {
-            steal,
-            ..DagExecOptions::default()
-        };
-        execute_dag_pooled_opts(&dag, data, workers, opts)
-            .unwrap_or_else(|e| panic!("{label}: pooled steal={steal}: {e}"))
+    let p = plan();
+    let fault_free = p.config.faults.is_none();
+    let workers = p.total_streams + 1;
+    let opts = DagExecOptions {
+        workers,
+        ..DagExecOptions::default()
     };
-    let twin = pooled(false);
-    let stealing = pooled(true);
+    let multi = execute_dag_opts(&PlanDag::from_plan(p), data, opts)
+        .unwrap_or_else(|e| panic!("{label}: workers={workers}: {e}"));
 
-    // Across engines only the data path is pinned (pooled interleaving
-    // produces a different wall-clock schedule).
-    for (mode, out) in [("pooled", &twin), ("steal", &stealing)] {
-        assert!(out.verified, "{label}/{mode}: verification failed");
+    assert!(inline.verified, "{label}/workers=1: verification failed");
+    assert!(
+        multi.verified,
+        "{label}/workers={workers}: verification failed"
+    );
+    assert_eq!(
+        all_bits(&inline.sorted),
+        all_bits(&multi.sorted),
+        "{label}/workers={workers}: output differs from one worker"
+    );
+    assert_eq!(inline.nb, multi.nb, "{label}: batch counts differ");
+    assert_eq!(
+        inline.pair_merges, multi.pair_merges,
+        "{label}: pair-merge counts differ"
+    );
+    if fault_free {
         assert_eq!(
-            all_bits(&seq.sorted),
-            all_bits(&out.sorted),
-            "{label}/{mode}: output differs from sequential engine"
+            inline.recovery,
+            multi.recovery,
+            "{label}: worker count changes recovery stats\n  1: {}\n  {workers}: {}",
+            inline.recovery.summary(),
+            multi.recovery.summary()
         );
-        assert_eq!(seq.nb, out.nb, "{label}/{mode}: batch counts differ");
         assert_eq!(
-            seq.pair_merges, out.pair_merges,
-            "{label}/{mode}: pair-merge counts differ"
+            span_multiset(&inline.metrics),
+            span_multiset(&multi.metrics),
+            "{label}: worker count changes the span multiset"
+        );
+    } else {
+        // Which stream trips a scheduled fault varies with the
+        // interleaving; how many faults fire and which devices die
+        // does not.
+        assert_eq!(
+            inline.recovery.faults_injected, multi.recovery.faults_injected,
+            "{label}: worker count changes the injected-fault count"
+        );
+        assert_eq!(
+            inline.recovery.lost_gpus(),
+            multi.recovery.lost_gpus(),
+            "{label}: worker count changes the lost devices"
         );
     }
-
-    // Within the pooled engine, stealing must be observationally
-    // invisible: identical recovery stats and span multiset, not just
-    // identical bytes.
-    assert_eq!(
-        twin.recovery,
-        stealing.recovery,
-        "{label}: steal changes recovery stats\n  off: {}\n  on:  {}",
-        twin.recovery.summary(),
-        stealing.recovery.summary()
-    );
-    assert_eq!(
-        span_multiset(&twin.metrics),
-        span_multiset(&stealing.metrics),
-        "{label}: steal changes the span multiset"
-    );
-    seq
+    inline
 }
 
-/// Run `mk`'s config under every hybrid mode (each through all three
-/// engines) and assert the outputs are all bitwise equal to `expect`.
+/// Run `mk`'s config under every hybrid mode (each at both worker
+/// counts) and assert the outputs are all bitwise equal to `expect`.
 fn check_hybrid_grid<T>(label: &str, mk: &dyn Fn() -> HetSortConfig, data: &[T], expect: &[T])
 where
     T: RadixKey + SortOrd + Default + Bits,
@@ -221,8 +231,9 @@ fn hybrid_modes_agree_bitwise_f64() {
 fn hybrid_modes_agree_bitwise_key_value_records() {
     // 16-byte key/value rows (§IV-E workload of [5]): the payload must
     // ride along bit-exactly through staging, device sort, and merges —
-    // including merges stolen by the CPU pool. One geometry per
-    // platform keeps the grid (3 hybrid × 3 engine modes) affordable.
+    // including merges run by any engine worker. One geometry per
+    // platform keeps the grid (3 hybrid modes × 2 worker counts)
+    // affordable.
     for plat in [platform1(), platform2()] {
         let label = format!("{}/PipeMerge/kv16", plat.name);
         let n = 30_000;
@@ -286,7 +297,7 @@ fn hybrid_modes_agree_under_faults() {
     // Recovery paths must hold in every mode: transient transfer faults
     // with retries, an OOM split, and a mid-run device loss each
     // recover to the reference output whether merges run on the pair
-    // lane, the CPU pool, or a steal worker. Fresh injectors per
+    // lane or the CPU pool, on one worker or several. Fresh injectors per
     // execution (the config closure) keep occurrence counters from
     // leaking across runs.
     let n = 40_000;

@@ -134,7 +134,7 @@ fn no_survivor_without_fallback_is_a_typed_error() {
 
 #[test]
 fn device_loss_recovered_in_parallel_executor() {
-    // The MT executor loses GPU 1 at a pinned per-device op count; the
+    // The multi-worker engine loses GPU 1 at a pinned per-device op count; the
     // exact set of batches that completed before the loss depends on
     // worker interleaving, but the output must be bitwise correct and
     // the loss visible in the stats under every interleaving.
@@ -157,6 +157,42 @@ fn device_loss_recovered_in_parallel_executor() {
             rp.check_invariants().unwrap();
             let res = Residency::of_plan(rp);
             assert!(!res.device_bytes.contains_key(&1), "round {round}");
+        }
+    }
+}
+
+#[test]
+fn device_loss_recovers_at_every_worker_count() {
+    // One device-loss rule at every worker count: the dead GPU's
+    // streams stop, the survivors run on, and the missing batches are
+    // re-planned onto GPU 0 alone.
+    use hetsort::core::{execute_dag_opts, DagExecOptions, PlanDag};
+    let data = lcg_data(40_000, 67);
+    let expect = sorted_reference(&data);
+    for workers in [1, 2, 3, 8] {
+        let cfg = cfg2().with_faults(Arc::new(FaultInjector::new().lose_device(1, 25)));
+        let dag = PlanDag::from_plan(Plan::build(cfg, data.len()).unwrap());
+        let opts = DagExecOptions {
+            workers,
+            ..DagExecOptions::default()
+        };
+        let out = execute_dag_opts(&dag, &data, opts).unwrap();
+        assert!(out.verified, "workers={workers}");
+        assert!(
+            expect
+                .iter()
+                .zip(&out.sorted)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "workers={workers}: output differs from reference"
+        );
+        assert_eq!(out.recovery.lost_gpus(), vec![1], "workers={workers}");
+        assert!(!out.replans.is_empty(), "workers={workers}: no re-plan");
+        for rp in &out.replans {
+            rp.check_invariants().unwrap();
+            assert!(
+                !Residency::of_plan(rp).device_bytes.contains_key(&1),
+                "workers={workers}: re-plan still schedules the lost GPU"
+            );
         }
     }
 }

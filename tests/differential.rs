@@ -1,15 +1,15 @@
-//! Differential tests: the simulated executor and both functional
-//! executors replay the *same plan*, so for every shipped configuration
-//! they must agree — bit-identical sorted output between the
-//! single-threaded and multi-threaded real executors, and the same
+//! Differential tests: the simulated executor and the functional
+//! engine at one worker and at one worker per stream plus one replay
+//! the *same plan*, so for every shipped configuration they must
+//! agree — bit-identical sorted output between the single-threaded and
+//! multi-threaded functional runs, and the same
 //! metric *structure* (span classes, ratio ranges, interval sanity)
 //! across all three observability exports.
 
 use std::collections::BTreeSet;
 
 use hetsort::algos::introsort::introsort;
-use hetsort::core::exec_real::sort_real_plan;
-use hetsort::core::exec_real_mt::sort_real_parallel;
+use hetsort::core::exec_real::{sort_real_parallel, sort_real_plan};
 use hetsort::core::exec_sim::simulate_plan;
 use hetsort::core::{Approach, HetSortConfig, Plan};
 use hetsort::obs::{MetricsRegistry, OpClass};
